@@ -18,6 +18,16 @@ Supported ground rings:
 All four are generic: the image of every nonzero quantum integer is nonzero.
 This is certified at construction time by an explicit check up to a
 configurable bound.
+
+The Laurent kinds compute on dense integer polynomials (:mod:`qtilt.zpoly`):
+a canonical unit is v**s * n / d with n, d in Z[v] coprime in Q[v], so one
+rational content per element replaces Fraction coefficients.  Gcds are
+GCDHEU with a primitive pseudo-remainder-sequence fallback, and sigma_l,
+being monic, is divided out by exact integer division.  Because sigma_l is
+irreducible over Q, the valuation rules out most of the canonicalization:
+products and quotients of canonical elements never gain a factor sigma_l,
+and a sum of elements of different valuations has the smaller one.  Only
+sums of equal valuation, ``embed`` and parsing search for sigma_l.
 """
 
 from __future__ import annotations
@@ -27,7 +37,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+from . import zpoly
 
 
 class RingError(ValueError):
@@ -105,7 +117,7 @@ class LaurentPoly:
         return LaurentPoly.from_dict(d)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.coeffs))
+        return LaurentPoly(tuple([(e, -c) for e, c in self.coeffs]))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -186,34 +198,6 @@ def _poly_divmod(a: list, b: list) -> tuple[list, list]:
             for j, bj in enumerate(b):
                 r[i + j] -= c * bj
     return _poly_trim(q), _poly_trim(r)
-
-
-def _poly_gcd(a: list, b: list) -> list:
-    """Monic gcd in Q[v]."""
-    a, b = list(a), list(b)
-    while b:
-        if len(b) == 1:
-            return [1]
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        if lead != 1:
-            a = [_coeff(Fraction(c) / lead) for c in a]
-    return a
-
-
-def _poly_content(a: list) -> Fraction:
-    """Positive rational c with a = c * (primitive integer polynomial)."""
-    num = 0
-    den = 1
-    for c in a:
-        if isinstance(c, int):
-            num = math.gcd(num, c)
-        else:
-            num = math.gcd(num, c.numerator)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    return Fraction(num, den)
 
 
 def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -359,6 +343,14 @@ class GroundRing:
         return RingElem(self, 0, None, None)
 
     def one(self) -> "RingElem":
+        return self._one
+
+    # A per-ring constant, built on first use.  A cached_property lives in
+    # the instance dict, which frozen dataclasses leave writable, and costs
+    # one dict lookup; an lru_cache keyed on the ring would hash the
+    # dataclass (and its Enum field) in Python on every call.
+    @cached_property
+    def _one(self) -> "RingElem":
         return self.from_int(1)
 
     def from_int(self, n: int) -> "RingElem":
@@ -367,7 +359,10 @@ class GroundRing:
     def from_fraction(self, f: Fraction | int) -> "RingElem":
         f = _frac(f)
         if self.is_laurent:
-            return _make_laurent(self, lp({0: f.numerator}), lp({0: f.denominator}))
+            if not f:
+                return self.zero()
+            # A nonzero constant is prime to every sigma_l (degree >= 1).
+            return _finish(self, 0, 0, [f.numerator], [f.denominator])
         return _make_numeric(self, f)
 
     def from_laurent(self, p: LaurentPoly) -> "RingElem":
@@ -375,7 +370,7 @@ class GroundRing:
 
     def uniformizer(self) -> "RingElem":
         if self.kind is RingKind.CYCLOTOMIC_LOCAL:
-            return _make_laurent(self, cyclotomic_poly(self.param), LP_ONE)
+            return RingElem(self, 1, LP_ONE, LP_ONE)
         if self.kind is RingKind.INTEGER_LOCAL:
             return _make_numeric(self, Fraction(self.param))
         raise RingError(f"{self.descriptor()} has no uniformizer")
@@ -467,6 +462,15 @@ class RingElem:
     the uniformizer divides neither.  For the numeric kinds the unit is a
     plain Fraction with numerator and denominator coprime to p.
 
+    Laurent-kind arithmetic works on the integer coefficient lists of num and
+    den and keeps each result canonical with the least work the valuation
+    allows: a product of two elements with den 1 is one polynomial product;
+    other products and quotients cancel gcd(n1, d2) and gcd(n2, d1) (resp.
+    gcd(n1, n2) and gcd(d1, d2)) as ``fractions.Fraction`` does, and never
+    look for sigma_l, which is prime and divides no canonical num or den; a
+    sum with k1 != k2 has valuation min(k1, k2) exactly, so only a sum with
+    k1 == k2 divides out sigma_l.
+
     The zero element is flagged by ``num is None``.
     """
 
@@ -489,26 +493,19 @@ class RingElem:
     # -- arithmetic ------------------------------------------------------
 
     def _check_ring(self, other: "RingElem") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingError(f"mixed rings: {self.ring} vs {other.ring}")
 
     def __add__(self, other: "RingElem") -> "RingElem":
         self._check_ring(other)
-        if self.is_zero():
+        if self.num is None:
             return other
-        if other.is_zero():
+        if other.num is None:
             return self
         ring = self.ring
         if not ring.is_laurent:
             return _make_numeric(ring, self._q_value() + other._q_value())
-        k = min(self.k, other.k)
-        if self.k == other.k:
-            n1, n2 = self.num * other.den, other.num * self.den
-        else:
-            pi = _uniformizer_lp(ring)
-            n1 = self.num * _lp_pow(pi, self.k - k) * other.den
-            n2 = other.num * _lp_pow(pi, other.k - k) * self.den
-        return _make_laurent(ring, n1 + n2, self.den * other.den, k_base=k)
+        return _laurent_add(ring, self, other)
 
     def __neg__(self) -> "RingElem":
         if self.is_zero():
@@ -522,14 +519,12 @@ class RingElem:
 
     def __mul__(self, other: "RingElem") -> "RingElem":
         self._check_ring(other)
-        if self.is_zero() or other.is_zero():
+        if self.num is None or other.num is None:
             return self.ring.zero()
         ring = self.ring
         if not ring.is_laurent:
             return _make_numeric(ring, self._q_value() * other._q_value())
-        return _make_laurent(
-            ring, self.num * other.num, self.den * other.den, k_base=self.k + other.k
-        )
+        return _laurent_mul(ring, self, other)
 
     def divide(self, other: "RingElem") -> "RingElem":
         """Exact division inside the ring; raises RingError when impossible."""
@@ -543,9 +538,7 @@ class RingElem:
             raise RingError("quotient has negative valuation; not in the ring")
         if not ring.is_laurent:
             return _make_numeric(ring, self._q_value() / other._q_value())
-        return _make_laurent(
-            ring, self.num * other.den, self.den * other.num, k_base=self.k - other.k
-        )
+        return _laurent_div(ring, self, other)
 
     __truediv__ = divide
 
@@ -584,22 +577,35 @@ class RingElem:
     __repr__ = __str__
 
 
-def _lp_pow(p: LaurentPoly, n: int) -> LaurentPoly:
-    out = LP_ONE
-    for _ in range(n):
-        out = out * p
-    return out
+def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
+    """Split a nonzero integer-coefficient p as v**shift * P, P(0) != 0."""
+    cs = p.coeffs
+    lo, hi = cs[0][0], cs[-1][0]
+    if len(cs) == hi - lo + 1:
+        return lo, [c for _, c in cs]
+    out = [0] * (hi - lo + 1)
+    for e, c in cs:
+        out[e - lo] = c
+    return lo, out
+
+
+def _sparse(shift: int, a) -> LaurentPoly:
+    # tuple() of an exact-size list: a tuple built from a generator keeps
+    # its over-allocated block, which shows in the peak memory of builds.
+    return LaurentPoly(tuple([(shift + i, c) for i, c in enumerate(a) if c]))
+
+
+_ONE_TERMS = LP_ONE.coeffs
 
 
 @lru_cache(maxsize=None)
-def _uniformizer_lp_cached(l: int) -> LaurentPoly:
-    return cyclotomic_poly(l)
-
-
-def _uniformizer_lp(ring: GroundRing) -> LaurentPoly:
-    if ring.kind is RingKind.CYCLOTOMIC_LOCAL:
-        return _uniformizer_lp_cached(ring.param)
-    raise RingError("no Laurent uniformizer for this ring kind")
+def _sigma_pow(l: int, m: int) -> tuple[int, ...]:
+    """sigma_l**m as a dense coefficient tuple."""
+    sigma = _dense(cyclotomic_poly(l))[1]
+    out = [1]
+    for _ in range(m):
+        out = zpoly.mul(out, sigma)
+    return tuple(out)
 
 
 def _make_numeric(ring: GroundRing, f: Fraction) -> RingElem:
@@ -623,51 +629,125 @@ def _make_numeric(ring: GroundRing, f: Fraction) -> RingElem:
     return RingElem(ring, k, Fraction(num, den), None)
 
 
-def _make_laurent(
-    ring: GroundRing, num: LaurentPoly, den: LaurentPoly, k_base: int = 0
-) -> RingElem:
-    """Canonicalize num/den (times uniformizer**k_base) in a Laurent kind."""
+def _finish(ring: GroundRing, k: int, shift: int, n, d) -> RingElem:
+    """The element pi**k * v**shift * n/d, for n and d coprime in Q[v] with
+    d(0) != 0 and neither divisible by the uniformizer: divides out the common
+    integer content and makes the lowest coefficient of d positive."""
+    g = math.gcd(math.gcd(*n), math.gcd(*d))
+    if d[0] < 0:
+        g = -g
+    if g != 1:
+        n = [x // g for x in n]
+        d = [x // g for x in d]
+    den = LP_ONE if len(d) == 1 and d[0] == 1 else _sparse(0, d)
+    return RingElem(ring, k, _sparse(shift, n), den)
+
+
+def _sigma_divides(a, l: int) -> bool:
+    """Whether sigma_l divides the polynomial a.
+
+    sigma_l divides v**l - 1, so a is congruent to its fold modulo v**l - 1
+    (l sums of slices, at C speed): only the short fold is divided.
+    """
+    folded = [sum(a[i::l]) for i in range(l)]
+    return not any(folded) or zpoly.quo(folded, _sigma_pow(l, 1)) is not None
+
+
+def _strip_sigma(n, l: int, k: int):
+    """Move every factor sigma_l of n into the exponent k."""
+    while _sigma_divides(n, l):
+        n, k = zpoly.quo(n, _sigma_pow(l, 1)), k + 1
+    return n, k
+
+
+def _make_laurent(ring: GroundRing, num: LaurentPoly, den: LaurentPoly) -> RingElem:
+    """Canonicalize num/den in a Laurent kind, coefficients int or Fraction:
+    clear denominators, cancel the gcd, move every factor sigma_l of the
+    numerator into k and refuse a denominator that sigma_l divides."""
     if den.is_zero():
         raise ZeroDivisionError("division by zero")
     if num.is_zero():
         return ring.zero()
-    sn, pn = _lp_to_poly(num)
-    sd, pd = _lp_to_poly(den)
-    shift = sn - sd
-    g = _poly_gcd(pn, pd)
-    if len(g) > 1:
-        pn, _ = _poly_divmod(pn, g)
-        pd, _ = _poly_divmod(pd, g)
-    k = k_base
+    sn, n = _lp_to_poly(num)
+    sd, d = _lp_to_poly(den)
+    m = math.lcm(*[c.denominator for c in n + d if isinstance(c, Fraction)])
+    if m != 1:
+        n = [c.numerator * (m // c.denominator) for c in map(Fraction, n)]
+        d = [c.numerator * (m // c.denominator) for c in map(Fraction, d)]
+    n, d = zpoly.cancel(n, d)
+    k = 0
     if ring.kind is RingKind.CYCLOTOMIC_LOCAL:
-        _, sigma = _lp_to_poly(_uniformizer_lp(ring))
-        while True:
-            q, r = _poly_divmod(pn, sigma)
-            if r:
-                break
-            pn = q
-            k += 1
-        _, r = _poly_divmod(pd, sigma)
-        if not r:
-            raise RingError(
-                f"denominator divisible by the uniformizer; not in {ring}"
-            )
-        if k < 0:
-            raise RingError("negative uniformizer valuation; not in the ring")
-    cn = _poly_content(pn)
-    cd = _poly_content(pd)
-    scale = cn / cd
-    f_num = Fraction(scale.numerator) / cn
-    f_den = Fraction(scale.denominator) / cd
-    if f_num != 1:
-        pn = [c * f_num for c in pn]
-    if f_den != 1:
-        pd = [c * f_den for c in pd]
-    low_d = next(c for c in pd if c)
-    if low_d < 0:
-        pn = [-c for c in pn]
-        pd = [-c for c in pd]
-    return RingElem(ring, k, _poly_to_lp(shift, pn), _poly_to_lp(0, pd))
+        n, k = _strip_sigma(n, ring.param, 0)
+        if _sigma_divides(d, ring.param):
+            raise RingError(f"denominator divisible by the uniformizer; not in {ring}")
+    return _finish(ring, k, sn - sd, n, d)
+
+
+def _laurent_add(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
+    """x + y for nonzero x, y.
+
+    With k1 != k2 the sum has valuation exactly min(k1, k2): one summand is
+    a unit times pi**min and the other a multiple of pi**(min + 1), so
+    nothing is stripped.  Only k1 == k2 can cancel into sigma_l.  The
+    denominators follow Knuth's rule, as ``fractions.Fraction`` does: with
+    g = gcd(d1, d2) the sum is t / (d1 d2 / g) with t = n1 d2/g + n2 d1/g,
+    and only gcd(t, g) can still cancel.
+    """
+    s1, n1 = _dense(x.num)
+    s2, n2 = _dense(y.num)
+    k = min(x.k, y.k)
+    if x.k != y.k:
+        sigma_m = _sigma_pow(ring.param, abs(x.k - y.k))
+        if x.k < y.k:
+            n2 = zpoly.mul(n2, sigma_m)
+        else:
+            n1 = zpoly.mul(n1, sigma_m)
+    if x.den.coeffs == _ONE_TERMS and y.den.coeffs == _ONE_TERMS:
+        shift, t = zpoly.add(s1, n1, s2, n2)
+        d = [1]
+    else:
+        d1, d2 = _dense(x.den)[1], _dense(y.den)[1]
+        g = [1]
+        if len(d1) > 1 and len(d2) > 1:
+            g, d1, d2 = zpoly.gcd(d1, d2)
+        shift, t = zpoly.add(s1, zpoly.mul(n1, d2), s2, zpoly.mul(n2, d1))
+        t, g = zpoly.cancel(t, g)
+        d = zpoly.mul(zpoly.mul(d1, d2), g)
+    if not t:
+        return ring.zero()
+    if x.k == y.k and ring.kind is RingKind.CYCLOTOMIC_LOCAL:
+        t, k = _strip_sigma(t, ring.param, k)
+    return _finish(ring, k, shift, t, d)
+
+
+def _laurent_mul(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
+    """x * y for nonzero x, y.
+
+    sigma_l is prime in Q[v], so a product of numerators prime to it stays
+    prime to it: no stripping and no denominator check.  With both
+    denominators 1 the product n1 n2 is already canonical (Gauss's lemma
+    keeps its content, the denominator keeps content 1).  Otherwise Henrici's
+    cross-cancellation by gcd(n1, d2) and gcd(n2, d1) leaves a reduced
+    fraction.
+    """
+    s1, n1 = _dense(x.num)
+    s2, n2 = _dense(y.num)
+    if x.den.coeffs == _ONE_TERMS and y.den.coeffs == _ONE_TERMS:
+        return RingElem(ring, x.k + y.k, _sparse(s1 + s2, zpoly.mul(n1, n2)), LP_ONE)
+    n1, d2 = zpoly.cancel(n1, _dense(y.den)[1])
+    n2, d1 = zpoly.cancel(n2, _dense(x.den)[1])
+    return _finish(ring, x.k + y.k, s1 + s2, zpoly.mul(n1, n2), zpoly.mul(d1, d2))
+
+
+def _laurent_div(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
+    """x / y for nonzero x, y with x.k >= y.k: (n1 d2) / (d1 n2) after
+    Henrici's cancellation by gcd(n1, n2) and gcd(d1, d2); as for products,
+    no factor sigma_l can appear."""
+    s1, n1 = _dense(x.num)
+    s2, n2 = _dense(y.num)
+    n1, n2 = zpoly.cancel(n1, n2)
+    d1, d2 = zpoly.cancel(_dense(x.den)[1], _dense(y.den)[1])
+    return _finish(ring, x.k - y.k, s1 - s2, zpoly.mul(n1, d2), zpoly.mul(d1, n2))
 
 
 def embed(p: LaurentPoly, ring: GroundRing) -> RingElem:
@@ -694,8 +774,10 @@ def to_fraction_field(x: RingElem) -> RingElem:
     if x.is_zero():
         return fk.zero()
     if ring.kind is RingKind.CYCLOTOMIC_LOCAL:
-        num = x.num * _lp_pow(cyclotomic_poly(ring.param), x.k)
-        return _make_laurent(fk, num, x.den)
+        # sigma_l**k is primitive and prime to the denominator: still reduced.
+        shift, n = _dense(x.num)
+        n = zpoly.mul(n, _sigma_pow(ring.param, x.k))
+        return _finish(fk, 0, shift, n, _dense(x.den)[1])
     return _make_numeric(fk, x._q_value())
 
 

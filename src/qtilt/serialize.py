@@ -47,6 +47,10 @@ def _mat_entries(m: Mat) -> list[list[str]]:
 
 def _mat_from_entries(ring: GroundRing, rows: int, cols: int,
                       entries: list[list[str]]) -> Mat:
+    if not isinstance(entries, list) or any(
+            not isinstance(r, list) or not all(isinstance(s, str) for s in r)
+            for r in entries):
+        raise SerializeError("entry block must be a list of rows of element strings")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise SerializeError("operator entry block has the wrong shape")
     return Mat.from_rows(

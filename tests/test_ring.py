@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtilt.ring import (
@@ -28,13 +28,14 @@ from qtilt.ring import (
     to_fraction_field,
     valuation,
 )
+from qtilt import ring as ring_mod
+from qtilt import zpoly
 
 V = sympy.Symbol("v")
 
 
 def to_sympy(p: LaurentPoly):
-    return sum(sympy.Rational(c.numerator, c.denominator)
-               if isinstance(c, Fraction) else sympy.Integer(c) * V**e
+    return sum(sympy.Rational(c.numerator, c.denominator) * V**e
                for e, c in p.coeffs) if p.coeffs else sympy.Integer(0)
 
 
@@ -283,3 +284,220 @@ def test_valuation_properties_random(triple):
     s = x + y
     if not (x.is_zero() or y.is_zero()):
         assert valuation(s) >= min(valuation(x), valuation(y))
+
+
+
+# ---------------------------------------------------------------------------
+# the integer Laurent kernel against an independent sympy computation
+
+_KERNEL_RINGS = [generic_field()] + [cyclotomic_local(l) for l in (2, 3, 4, 5, 6, 8, 12)]
+
+
+def _sigma_sympy(ring):
+    return sympy.Poly(sympy.cyclotomic_poly(ring.param, V), V, domain="QQ")
+
+
+def _poly_dict(poly) -> dict[int, Fraction]:
+    return {m[0]: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()}
+
+
+def _content(d: dict[int, Fraction]) -> Fraction:
+    num, den = 0, 1
+    for c in d.values():
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
+def oracle_canonical(ring, value):
+    """(k, num terms, den terms) of the canonical form of the nonzero
+    rational function ``value``, or None when it is not in the ring.
+
+    sympy only: ``cancel`` reduces the fraction, repeated ``rem`` by the
+    cyclotomic polynomial finds k, then the content and sign rules apply:
+    num = a * (primitive), den = b * (primitive with positive constant
+    term), a/b in lowest terms with b > 0.
+    """
+    p, q = sympy.fraction(sympy.cancel(sympy.together(value)))
+    sp = min(m[0] for m in sympy.Poly(p, V).monoms())
+    sq = min(m[0] for m in sympy.Poly(q, V).monoms())
+    P = sympy.Poly(sympy.expand(p / V**sp), V, domain="QQ")
+    Q = sympy.Poly(sympy.expand(q / V**sq), V, domain="QQ")
+    k = 0
+    if not ring.is_field:
+        sigma = _sigma_sympy(ring)
+        while sympy.rem(P, sigma).is_zero:
+            P, k = sympy.quo(P, sigma), k + 1
+        if sympy.rem(Q, sigma).is_zero:
+            return None
+    pd, qd = _poly_dict(P), _poly_dict(Q)
+    cp = _content(pd)
+    cq = _content(qd) * (1 if qd[0] > 0 else -1)
+    r = cp / cq
+    num = {e + sp - sq: c / cp * r.numerator for e, c in pd.items()}
+    den = {e: c / cq * r.denominator for e, c in qd.items()}
+    assert all(c.denominator == 1 for c in (*num.values(), *den.values()))
+    return (k, tuple(sorted((e, int(c)) for e, c in num.items())),
+            tuple(sorted((e, int(c)) for e, c in den.items())))
+
+
+def elem_sympy(x):
+    if x.is_zero():
+        return sympy.Integer(0)
+    pi = _sigma_sympy(x.ring).as_expr() if x.k else 1
+    return pi**x.k * to_sympy(x.num) / to_sympy(x.den)
+
+
+def assert_canonical(x, value):
+    value = sympy.cancel(sympy.together(value))
+    if value == 0:
+        assert x.is_zero()
+        return
+    assert not x.is_zero()
+    assert (x.k, x.num.coeffs, x.den.coeffs) == oracle_canonical(x.ring, value)
+
+
+def _make(ring, num, den):
+    try:
+        return ring_mod._make_laurent(ring, num, den)
+    except RingError:
+        return None
+
+
+_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+_laurents = st.dictionaries(st.integers(-3, 3), _coeffs, max_size=4).map(lp).filter(bool)
+
+
+@st.composite
+def num_den_pairs(draw, ring=None):
+    """A ring and a num/den pair with a planted common factor and, over
+    cyc:l, a planted power of sigma_l in the numerator."""
+    ring = ring or draw(st.sampled_from(_KERNEL_RINGS))
+    common = draw(_laurents)
+    num = draw(_laurents) * common
+    den = draw(_laurents) * common
+    if not ring.is_field:
+        for _ in range(draw(st.integers(0, 2))):
+            num = num * cyclotomic_poly(ring.param)
+    return ring, num, den
+
+
+@settings(max_examples=100, deadline=None)
+@given(num_den_pairs())
+def test_canonicalization_matches_sympy(pair):
+    ring, num, den = pair
+    expected = oracle_canonical(ring, to_sympy(num) / to_sympy(den))
+    x = _make(ring, num, den)
+    if expected is None:
+        assert x is None
+    else:
+        assert (x.k, x.num.coeffs, x.den.coeffs) == expected
+
+
+@st.composite
+def elem_pairs(draw):
+    ring, n1, d1 = draw(num_den_pairs())
+    _, n2, d2 = draw(num_den_pairs(ring))
+    if draw(st.booleans()):
+        # n1 shares a factor with d2 and n2 with d1: cross-cancellation
+        n2, d2 = n2 * d1, d2 * n1
+    x, y = _make(ring, n1, d1), _make(ring, n2, d2)
+    assume(x is not None and y is not None)
+    return x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(elem_pairs())
+def test_arithmetic_matches_sympy(pair):
+    x, y = pair
+    vx, vy = elem_sympy(x), elem_sympy(y)
+    assert_canonical(x * y, vx * vy)
+    assert_canonical(x + y, vx + vy)
+    assert_canonical(x - y, vx - vy)
+    if x.k >= y.k:
+        assert_canonical(x.divide(y), vx / vy)
+    else:
+        with pytest.raises(RingError):
+            x.divide(y)
+
+
+# one targeted case per shortcut of the kernel
+
+
+def test_unit_times_unit_is_one_product(cyc3):
+    x, y = embed(qint(2), cyc3), embed(qint(4), cyc3)
+    assert x.den == y.den == LP_ONE
+    p = x * y
+    assert p.den == LP_ONE and p.num == qint(2) * qint(4)
+    assert_canonical(p, elem_sympy(x) * elem_sympy(y))
+
+
+def test_unit_over_unit(cyc3):
+    x, y = embed(qint(2), cyc3), embed(lp({1: 2, 0: 3}), cyc3)
+    q = x.divide(y)
+    assert q.k == 0 and q.den != LP_ONE
+    assert_canonical(q, elem_sympy(x) / elem_sympy(y))
+    assert q * y == x
+
+
+def test_sum_of_different_valuations_keeps_the_smaller(cyc3):
+    s = cyc3.uniformizer()
+    x = s * embed(lp({0: 1, 1: 3}), cyc3)
+    y = embed(lp({0: 1}), cyc3).divide(embed(lp({0: 2, 1: 1}), cyc3))
+    assert (x.k, y.k) == (1, 0)
+    z = x + y
+    assert z.k == 0
+    assert_canonical(z, elem_sympy(x) + elem_sympy(y))
+
+
+def test_sum_of_equal_valuations_cancels_into_sigma(cyc3):
+    # v^2/(v+2) + (v+1)/(v+2) = sigma_3 / (v+2)
+    d = embed(lp({1: 1, 0: 2}), cyc3)
+    x = embed(lp({2: 1}), cyc3).divide(d)
+    y = embed(lp({1: 1, 0: 1}), cyc3).divide(d)
+    z = x + y
+    assert z.k == 1
+    assert z == cyc3.uniformizer().divide(d)
+    assert str(embed(lp({2: 1}), cyc3) + embed(lp({1: 1, 0: 1}), cyc3)) == "s^1 * 1"
+
+
+def test_gcd_fallback_path(monkeypatch):
+    # GCDHEU giving up must leave every result unchanged.
+    ring = cyclotomic_local(3)
+    cases = [(lp({2: 1, 0: -1}), lp({1: 1, 0: 1})), (lp({3: 2, 0: 2}), lp({2: 1, 0: -1})),
+             (lp({1: 1, 0: 2}), lp({2: 1, 1: 4, 0: 4})),
+             (lp({5: 3, 4: 1, 1: -3, 0: -1}), lp({3: 1, 2: 5, 1: -1, 0: -5}))]
+    before = [(_make(ring, n, d), _make(ring, d, n)) for n, d in cases]
+    monkeypatch.setattr(zpoly, "heu_gcd", lambda f, g: None)
+    after = [(_make(ring, n, d), _make(ring, d, n)) for n, d in cases]
+    assert after == before
+    for (x, y), (n, d) in zip(after, cases):
+        assert_canonical(x, to_sympy(n) / to_sympy(d))
+        assert_canonical(x * y, 1)
+        assert_canonical(x.divide(x + x), sympy.Rational(1, 2))
+
+
+_int_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=6).filter(
+    lambda a: a[0] and a[-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_polys, _int_polys, _int_polys)
+def test_gcd_matches_sympy(a, b, c):
+    f, g = zpoly.mul(a, c), zpoly.mul(b, c)
+    assume(len(f) > 1 and len(g) > 1)
+    want = sympy.Poly(list(reversed(f)), V).gcd(sympy.Poly(list(reversed(g)), V))
+    want = [abs(x) for x in reversed(want.primitive()[1].all_coeffs())]
+    for h in (zpoly.gcd(f, g)[0], zpoly.prs_gcd(f, g)):
+        assert [abs(x) for x in h] == want
+    h, cf, cg = zpoly.gcd(f, g)
+    assert zpoly.mul(h, cf) == f and zpoly.mul(h, cg) == g
+
+
+def test_parse_rejects_denominator_divisible_by_sigma(cyc3):
+    for text in ("(1)/(v^2+v+1)", "(v)/(v^3-1)", "s^1 * ((1)/(v^2+v+1))"):
+        with pytest.raises(RingError):
+            parse_elem(text, cyc3)

@@ -158,6 +158,28 @@ def test_cli_check_failure_exit_code(runner, tmp_path, a1, cyc3):
     assert not rep["ok"]
 
 
+@pytest.mark.parametrize("null", ["block", "entry"])
+def test_cli_check_null_entries_exit_code(runner, tmp_path, null):
+    # Malformed input is a usage error (exit 2 with a message), never a
+    # traceback or the "check failed" code 1.
+    golden = os.path.join(os.path.dirname(__file__), "..", "docs", "golden")
+    with open(os.path.join(golden, "a1_smax_cyc3_w3.json")) as fh:
+        d = json.load(fh)
+    op = d["operators"][0]
+    if null == "block":
+        op["entries"] = None
+    else:
+        op["entries"][0][0] = None
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    res = runner.invoke(main, ["check", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output
+    assert isinstance(res.exception, SystemExit)
+    with pytest.raises(SerializeError):
+        load_xobject(json.dumps(d))
+
+
 def test_cli_hom_extend(runner, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
