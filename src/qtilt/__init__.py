@@ -66,6 +66,7 @@ from .xcat import (
     minimal_extend,
     minimality_certificate,
     restrict,
+    verify_frontier,
     verify_hom,
     verify_relations,
     weyl_multiplicities,

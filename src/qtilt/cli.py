@@ -78,7 +78,7 @@ def run(spec: JobSpec) -> int:
     try:
         return _dispatch(spec)
     except (RingError, RootSystemError, XCatError, forms.FormError,
-            serialize.SerializeError, FileNotFoundError, KeyError,
+            serialize.SerializeError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
@@ -90,18 +90,17 @@ def _dispatch(spec: JobSpec) -> int:
         ring = parse_ring(spec.ring)
         lam = spec.weight
         kw = dict(prune=spec.prune, height_bound=spec.height_bound)
+        b = None
         if spec.kind == "smin":
-            M = xcat.build_smin(rs, ring, lam, verify_frontier=spec.verify_frontier, **kw)
-            b = None
+            M = xcat.build_smin(rs, ring, lam, **kw)
         elif spec.kind == "smax":
-            M = xcat.build_smax(rs, ring, lam, verify_frontier=spec.verify_frontier, **kw)
-            b = None
+            M = xcat.build_smax(rs, ring, lam, **kw)
         elif spec.kind == "smax-form":
             M, b = forms.build_smax_with_form(rs, ring, lam, **kw)
-            if spec.verify_frontier:
-                xcat._verify_frontier(M, lam)
         else:
             raise click.UsageError(f"unknown build kind {spec.kind!r}")
+        if spec.verify_frontier:
+            xcat.verify_frontier(M)
         out = _outpath(spec.out)
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(serialize.dump_xobject(M))

@@ -22,10 +22,11 @@ from .rootsys import Weight
 from .xcat import (
     Report,
     XObject,
-    _build_order,
+    _build,
     _delta_rank,
-    _seed,
+    _store_blocks,
     delta_space,
+    maximality_certificate,
     minimal_extend,
 )
 
@@ -56,14 +57,6 @@ def _gram_delta(b: GradedForm, M: XObject, mu: Weight, index) -> Mat:
     return Mat.from_rows(M.ring, out, cols=dr)
 
 
-def _is_nondegenerate(g: Mat, ring: GroundRing) -> bool:
-    """Unit Gram determinant: full rank with zero valuation."""
-    if g.rows == 0:
-        return True
-    snf = linalg.smith_normal_form(g)
-    return snf.rank == g.rows and all(e == 0 for e in snf.exponents)
-
-
 def check_form(M: XObject, b: GradedForm) -> Report:
     """Verify symmetry and exact contravariance; report per-weight
     non-degeneracy and the radical rank."""
@@ -91,10 +84,10 @@ def check_form(M: XObject, b: GradedForm) -> Report:
         rep.add("form-contravariant", None, True)
     for mu in sorted(M.spaces):
         g = _gram(b, M, mu)
-        nondeg = _is_nondegenerate(g, M.ring)
-        radical = linalg.kernel_saturated(g).cols
+        snf = linalg.smith_normal_form(g)
+        nondeg = snf.rank == g.rows and not any(snf.exponents)
         rep.add("form-nondegenerate", mu, nondeg,
-                f"radical rank {radical}" if not nondeg else None)
+                f"radical rank {g.cols - snf.rank}" if not nondeg else None)
     return rep
 
 
@@ -117,15 +110,9 @@ def extend_form_minimal(M: XObject, b: GradedForm, mu: Weight) -> GradedForm:
         return out
     g_delta = _gram_delta(b, M, mu, index)
     # Columns x_i with F_mu @ x_i = e_i, the chosen basis of the new space.
-    cols = []
-    for i in range(r):
-        target = Mat.from_cols(M.ring, [[M.ring.one() if j == i else M.ring.zero()
-                                         for j in range(r)]])
-        x = linalg.solve_in_span(f_mu, target)
-        if x is None:
-            raise FormError("lowering operator is not surjective at the new weight")
-        cols.append([x[j, 0] for j in range(f_mu.cols)])
-    lifts = Mat.from_cols(M.ring, cols, rows=f_mu.cols)
+    lifts = linalg.solve_in_span(f_mu, Mat.identity(M.ring, r))
+    if lifts is None:
+        raise FormError("lowering operator is not surjective at the new weight")
     out[mu] = lifts.T @ g_delta @ e_mu
     return out
 
@@ -145,17 +132,18 @@ def complete_nondegenerate(
     Mt = minimal_extend(M, mu)
     bt = extend_form_minimal(Mt, b, mu)
     g = bt[mu]
-    if _is_nondegenerate(g, M.ring):
+    snf = linalg.smith_normal_form(g)
+    if snf.rank == g.rows and not any(snf.exponents):
         return Mt, bt
     if M.ring.is_field:
         raise FormError("degenerate extension over a field: input form degenerate")
     index, e_mu, f_mu = delta_space(Mt, mu)
-    dr = _delta_rank(index)
     r = Mt.rank(mu)
     g_delta = _gram_delta(bt, Mt, mu, index)
-    if not _is_nondegenerate(g_delta, M.ring):
-        raise FormError("form degenerate on the upper-neighbour sum")
-    snf = linalg.smith_normal_form(g)
+    try:
+        g_delta_inv = linalg.inverse_unit(g_delta)
+    except linalg.LinAlgError:
+        raise FormError("form degenerate on the upper-neighbour sum") from None
     if snf.rank != r:
         raise FormError("Gram radical nonzero; input form was degenerate")
     # Residue radical = span of the V-columns with positive exponent; their
@@ -172,13 +160,8 @@ def complete_nondegenerate(
     ])
     # New raising columns: G_delta @ E'(s_i) = (Vinv @ F_mu row picture).
     rhs = w_rows @ f_mu                           # k x dr
-    g_delta_inv = linalg.inverse_unit(g_delta)
     e_prime = g_delta_inv @ rhs.T                 # dr x k
-    e_new = hstack([e_mu, e_prime]) if e_mu.cols else e_prime
-    f_new = vstack([f_mu, Mat.zero(M.ring, k, dr)]) if f_mu.rows else Mat.zero(M.ring, k, dr)
-    from .xcat import _store_blocks
-
-    M_new = _store_blocks(Mt, mu, index, e_new, f_new, r + k)
+    M_new = _store_blocks(Mt, mu, index, e_mu, f_mu, e_prime)
     out = dict(bt)
     out[mu] = gram_new
     return M_new, out
@@ -196,13 +179,14 @@ def build_smax_with_form(
     contravariant form forces the raising image to be saturated, so the
     object is isomorphic to the output of ``build_smax``.
     """
-    order = _build_order(rs, lam, prune, height_bound, weights)
-    M = _seed(rs, ring, lam)
     b: GradedForm = {lam: Mat.identity(ring, 1)}
-    for mu in order[1:]:
-        M, b = complete_nondegenerate(M, b, mu)
-    from .xcat import maximality_certificate
 
+    def step(M: XObject, mu: Weight) -> XObject:
+        nonlocal b
+        M, b = complete_nondegenerate(M, b, mu)
+        return M
+
+    M = _build(rs, ring, lam, step, prune, height_bound, weights)
     cert = maximality_certificate(M)
     if not cert.ok:
         raise FormError(f"form-carrying build failed maximality: {cert.failures()}")

@@ -313,33 +313,43 @@ def saturation_with_invariants(G: Mat) -> tuple[Mat, tuple[int, ...]]:
     return S, tuple(e for e in snf.exponents if e > 0)
 
 
-def solve_in_span(G: Mat, b: Mat) -> Mat | None:
-    """Solve G @ x = b exactly over the ring; None when b is not in the span.
+def _diagonal_solve(snf: SmithDecomposition, B: Mat) -> Mat | None:
+    """Z with diag(pi**e) @ Z == (U @ B)[:rank], or None when no such Z exists
+    over the ring or the rows of U @ B below the rank do not vanish.
+
+    For G with SNF snf, the columns of Z are the coordinates of the columns
+    of B in the basis Uinv[:, :rank] @ diag(pi**e) of span(G).
+    """
+    ring = B.ring
+    ub = snf.U @ B
+    pi = ring.uniformizer() if ring.is_dvr else ring.one()
+    z = []
+    for t, e in enumerate(snf.exponents):
+        d = pi ** e  # exponents are 0 over a field
+        try:
+            z.append([x.divide(d) for x in ub.entries[t]])
+        except RingError:
+            return None
+    if any(not x.is_zero() for row in ub.entries[snf.rank:] for x in row):
+        return None
+    return Mat.from_rows(ring, z, cols=B.cols)
+
+
+def solve_in_span(G: Mat, B: Mat) -> Mat | None:
+    """Solve G @ X = B exactly over the ring, for any number of columns with
+    one SNF of G; None when some column of B is not in the span.
 
     Membership is ring-exact, not fraction-field membership.  Free
     coordinates of the solution are set to zero, so the output is
     deterministic.
     """
-    if b.rows != G.rows or b.cols != 1:
-        raise LinAlgError("b must be a column of matching height")
+    if B.rows != G.rows:
+        raise LinAlgError("right-hand side must have the height of G")
     snf = smith_normal_form(G)
-    ring = G.ring
-    ub = snf.U @ b
-    z: list[RingElem] = []
-    pi = ring.uniformizer() if ring.is_dvr else ring.one()
-    for t in range(G.cols):
-        if t < snf.rank:
-            d = pi ** snf.exponents[t] if ring.is_dvr else ring.one()
-            try:
-                z.append(ub[t, 0].divide(d))
-            except RingError:
-                return None
-        else:
-            z.append(ring.zero())
-    for t in range(snf.rank, G.rows):
-        if not ub[t, 0].is_zero():
-            return None
-    return snf.V @ Mat.from_cols(ring, [z])
+    z = _diagonal_solve(snf, B)
+    if z is None:
+        return None
+    return snf.V.take_cols(range(snf.rank)) @ z
 
 
 def free_complement(G: Mat) -> Mat:
@@ -367,24 +377,11 @@ def relative_invariants(sub: Mat, sup: Mat) -> tuple[int, ...]:
     if sub.rows != sup.rows:
         raise LinAlgError("ambient rank mismatch")
     snf = smith_normal_form(sup)
-    basis = snf.Uinv.take_cols(range(snf.rank))
-    if any(e > 0 for e in snf.exponents):
-        # Express the span basis exactly: scale back by the diagonal.
-        ring = sup.ring
-        pi = ring.uniformizer()
-        cols = []
-        for t in range(snf.rank):
-            cols.append([basis[i, t] * pi ** snf.exponents[t] for i in range(sup.rows)])
-        basis = Mat.from_cols(ring, cols, rows=sup.rows)
-    coords = []
-    for j in range(sub.cols):
-        x = solve_in_span(basis, sub.col(j))
-        if x is None:
-            raise LinAlgError("sub is not contained in the span of sup")
-        coords.append([x[i, 0] for i in range(basis.cols)])
-    X = Mat.from_cols(sub.ring, coords, rows=basis.cols)
+    X = _diagonal_solve(snf, sub)
+    if X is None:
+        raise LinAlgError("sub is not contained in the span of sup")
     snf_x = smith_normal_form(X)
-    if snf_x.rank < basis.cols:
+    if snf_x.rank < snf.rank:
         raise LinAlgError("quotient span(sup)/span(sub) is not torsion")
     return tuple(e for e in snf_x.exponents if e > 0)
 

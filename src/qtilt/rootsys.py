@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 Weight = tuple[int, ...]
 
@@ -134,13 +135,16 @@ class RootSystem:
 
     # -- weight arithmetic -------------------------------------------------
 
+    @cached_property
+    def _simple_roots(self) -> tuple[Weight, ...]:
+        return tuple(tuple(row[i] for row in self.cartan) for i in range(self.rank))
+
     def simple_root(self, i: int) -> Weight:
         """Fundamental coordinates of alpha_i (the i-th column)."""
-        return tuple(self.cartan[r][i] for r in range(self.rank))
+        return self._simple_roots[i]
 
     def add_root(self, mu: Weight, i: int, n: int = 1) -> Weight:
-        root = self.simple_root(i)
-        return tuple(m + n * r for m, r in zip(mu, root))
+        return tuple(m + n * r for m, r in zip(mu, self._simple_roots[i]))
 
     def zero_weight(self) -> Weight:
         return (0,) * self.rank

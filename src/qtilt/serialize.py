@@ -27,6 +27,29 @@ class SerializeError(ValueError):
     pass
 
 
+def _field(d: object, key: str, kind: type = object):
+    """d[key] of a JSON object, checked to be of the given type."""
+    if not isinstance(d, dict) or key not in d:
+        raise SerializeError(f"missing field {key!r}")
+    if not isinstance(d[key], kind):
+        raise SerializeError(f"field {key!r} has the wrong type: {d[key]!r}")
+    return d[key]
+
+
+def _int(x: object) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise SerializeError(f"expected an integer, got {x!r}") from None
+
+
+def _ints(x: object) -> tuple[int, ...]:
+    """A JSON array of integers, such as the coordinates of a weight."""
+    if not isinstance(x, list):
+        raise SerializeError(f"expected an array of integers, got {x!r}")
+    return tuple(_int(c) for c in x)
+
+
 def _rs_descriptor(rs: RootSystem) -> dict:
     if rs.label != "custom":
         return {"label": rs.label}
@@ -35,9 +58,9 @@ def _rs_descriptor(rs: RootSystem) -> dict:
 
 def _rs_from_descriptor(d: dict) -> RootSystem:
     if "label" in d:
-        return root_system(d["label"])
+        return root_system(_field(d, "label", str))
     if "cartan" in d:
-        return root_system([list(map(int, row)) for row in d["cartan"]])
+        return root_system([list(_ints(row)) for row in _field(d, "cartan", list)])
     raise SerializeError("root-system descriptor needs 'label' or 'cartan'")
 
 
@@ -83,43 +106,49 @@ def xobject_to_dict(M: XObject) -> dict:
     return out
 
 
-def xobject_from_dict(d: dict) -> XObject:
-    if d.get("format") != XOBJ_FORMAT:
-        raise SerializeError(f"not an object file (format={d.get('format')!r})")
+def _check_header(d: object, fmt: str, what: str) -> None:
+    got = d.get("format") if isinstance(d, dict) else None
+    if got != fmt:
+        raise SerializeError(f"not {what} (format={got!r})")
     if d.get("version") != VERSION:
         raise SerializeError(f"unsupported version {d.get('version')!r}")
-    ring = parse_ring(d["ring"])
-    rs = _rs_from_descriptor(d["root_system"])
+
+
+def xobject_from_dict(d: dict) -> XObject:
+    _check_header(d, XOBJ_FORMAT, "an object file")
+    ring = parse_ring(_field(d, "ring", str))
+    rs = _rs_from_descriptor(_field(d, "root_system", dict))
     spaces: dict[Weight, int] = {}
     region = set()
-    for w in d["weights"]:
-        coords = tuple(int(c) for c in w["coords"])
+    for w in _field(d, "weights", list):
+        coords = _ints(_field(w, "coords"))
         rs.check_weight(coords)
         region.add(coords)
-        r = int(w["rank"])
+        r = _int(_field(w, "rank"))
         if r < 0:
             raise SerializeError("negative rank")
         if r:
             spaces[coords] = r
     eops, fops = {}, {}
-    for op in d["operators"]:
-        mu = tuple(int(c) for c in op["mu"])
-        a, n = int(op["alpha"]), int(op["n"])
+    for op in _field(d, "operators", list):
+        mu = _ints(_field(op, "mu"))
+        a, n = _int(_field(op, "alpha")), _int(_field(op, "n"))
         if not (0 <= a < rs.rank and n >= 1):
             raise SerializeError(f"bad operator index alpha={a} n={n}")
         up = rs.add_root(mu, a, n)
         if mu not in spaces or up not in spaces:
             raise SerializeError(f"operator at {mu} touches a zero weight space")
         r_mu, r_up = spaces[mu], spaces[up]
-        shape = (r_up, r_mu) if op["kind"] == "E" else (r_mu, r_up)
-        mat = _mat_from_entries(ring, shape[0], shape[1], op["entries"])
-        if op["kind"] == "E":
+        kind = _field(op, "kind")
+        shape = (r_up, r_mu) if kind == "E" else (r_mu, r_up)
+        mat = _mat_from_entries(ring, shape[0], shape[1], _field(op, "entries"))
+        if kind == "E":
             eops[(mu, a, n)] = mat
-        elif op["kind"] == "F":
+        elif kind == "F":
             fops[(mu, a, n)] = mat
         else:
-            raise SerializeError(f"bad operator kind {op['kind']!r}")
-    top = tuple(int(c) for c in d["top"]) if d.get("top") is not None else None
+            raise SerializeError(f"bad operator kind {kind!r}")
+    top = _ints(d["top"]) if d.get("top") is not None else None
     return XObject(ring, rs, spaces, eops, fops, frozenset(region), top)
 
 
@@ -136,18 +165,15 @@ def form_to_dict(M: XObject, b: dict[Weight, Mat]) -> dict:
 
 
 def form_from_dict(d: dict, M: XObject) -> dict[Weight, Mat]:
-    if d.get("format") != XFORM_FORMAT:
-        raise SerializeError(f"not a form file (format={d.get('format')!r})")
-    if d.get("version") != VERSION:
-        raise SerializeError(f"unsupported version {d.get('version')!r}")
-    ring = parse_ring(d["ring"])
+    _check_header(d, XFORM_FORMAT, "a form file")
+    ring = parse_ring(_field(d, "ring", str))
     if ring != M.ring:
         raise SerializeError("form ring does not match object ring")
     out: dict[Weight, Mat] = {}
-    for w in d["weights"]:
-        coords = tuple(int(c) for c in w["coords"])
+    for w in _field(d, "weights", list):
+        coords = _ints(_field(w, "coords"))
         r = M.rank(coords)
-        out[coords] = _mat_from_entries(ring, r, r, w["gram"])
+        out[coords] = _mat_from_entries(ring, r, r, _field(w, "gram"))
     return out
 
 

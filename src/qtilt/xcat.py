@@ -49,6 +49,7 @@ __all__ = [
     "maximal_extend",
     "build_smin",
     "build_smax",
+    "verify_frontier",
     "restrict",
     "check_axioms",
     "verify_relations",
@@ -236,17 +237,15 @@ def delta_space(M: XObject, mu: Weight) -> tuple[DeltaIndex, Mat, Mat]:
     return index, vstack(e_blocks), hstack(f_blocks)
 
 
-def _commutator_rhs(M: XObject, mu: Weight, a: int, b: int, m: int, n: int) -> Mat:
+def _commutator_rhs(M: XObject, mu: Weight, a: int, b: int, m: int, n: int,
+                    src: Weight, tgt: Weight) -> Mat:
     """The normal-ordered side of the degree-(m, n) commutation identity on
-    M_{mu + n*alpha_b}, with target M_{mu + m*alpha_a}."""
-    rs = M.rs
-    src = rs.add_root(mu, b, n)
-    tgt = rs.add_root(mu, a, m)
+    the source src = mu + n*alpha_b, with target tgt = mu + m*alpha_a."""
     if a != b:
         return M.fop(tgt, b, n) @ M.eop(src, a, m)
     out = Mat.zero(M.ring, M.rank(tgt), M.rank(src))
     for r in range(min(m, n) + 1):
-        coeff = _qb(M.ring, mu[a] + m + n, r, rs.d[a])
+        coeff = _qb(M.ring, mu[a] + m + n, r, M.rs.d[a])
         if coeff.is_zero():
             continue
         term = M.fop(tgt, a, n - r) @ M.eop(src, a, m - r)
@@ -264,15 +263,12 @@ def hat_matrices(M: XObject, mu: Weight) -> tuple[Mat, Mat, DeltaIndex]:
     """
     index = _delta_index(M, mu)
     dr = _delta_rank(index)
-    rows = []
-    for row_block in index:
-        row = []
-        for col_block in index:
-            row.append(
-                _commutator_rhs(M, mu, row_block.alpha, col_block.alpha,
-                                row_block.n, col_block.n)
-            )
-        rows.append(hstack(row) if row else Mat.zero(M.ring, row_block.rank, 0))
+    ups = [M.rs.add_root(mu, blk.alpha, blk.n) for blk in index]
+    rows = [
+        hstack([_commutator_rhs(M, mu, rb.alpha, cb.alpha, rb.n, cb.n, src, tgt)
+                for cb, src in zip(index, ups)])
+        for rb, tgt in zip(index, ups)
+    ]
     ehat = vstack(rows) if rows else Mat.zero(M.ring, 0, dr)
     return ehat, Mat.identity(M.ring, dr), index
 
@@ -283,20 +279,48 @@ def hat_matrices(M: XObject, mu: Weight) -> tuple[Mat, Mat, DeltaIndex]:
 
 
 def _store_blocks(
-    M: XObject, mu: Weight, index: DeltaIndex, e_mu: Mat, f_mu: Mat, new_rank: int
+    M: XObject, mu: Weight, index: DeltaIndex, e_mu: Mat, f_mu: Mat, adjoined: Mat
 ) -> XObject:
+    """Store a nonzero space at mu: generators raising by e_mu and lowering by
+    f_mu, then one more per column of adjoined, raising to that column and
+    lowering to zero."""
+    e_mu = hstack([e_mu, adjoined])
+    f_mu = vstack([f_mu, Mat.zero(M.ring, adjoined.cols, adjoined.rows)])
     spaces = dict(M.spaces)
     eops = dict(M.eops)
     fops = dict(M.fops)
-    if new_rank > 0:
-        spaces[mu] = new_rank
-        for b in index:
-            rows = range(b.offset, b.offset + b.rank)
-            eops[(mu, b.alpha, b.n)] = e_mu.take_rows(rows)
-            fops[(mu, b.alpha, b.n)] = f_mu.take_cols(rows)
+    spaces[mu] = e_mu.cols
+    for b in index:
+        rows = range(b.offset, b.offset + b.rank)
+        eops[(mu, b.alpha, b.n)] = e_mu.take_rows(rows)
+        fops[(mu, b.alpha, b.n)] = f_mu.take_cols(rows)
     return replace(
         M, spaces=spaces, eops=eops, fops=fops, region=M.region | {mu}
     )
+
+
+def _extend(M: XObject, mu: Weight, saturate: bool) -> XObject:
+    """One extension step at mu, read off one SNF U @ ehat @ V = diag(pi**e)
+    of the assembled raising matrix.
+
+    The new space is free on the first r = rank(ehat) columns of V: it
+    raises by ehat @ V[:, :r] and lowers by Vinv[:r, :].  That raising image
+    equals Uinv[:, :r] @ diag(pi**e), so the columns Uinv[:, :r] are a basis
+    of its saturation, and the k columns with e > 0 span the saturation
+    modulo the image.  Saturating adjoins one generator per such column,
+    raising to it and lowering to zero.
+    """
+    M.rs.check_weight(mu)
+    if mu in M.region:
+        raise XCatError(f"weight {mu} already present")
+    ehat, _, index = hat_matrices(M, mu)
+    snf = linalg.smith_normal_form(ehat)
+    r = snf.rank
+    if r == 0:
+        return replace(M, region=M.region | {mu})
+    k = sum(e > 0 for e in snf.exponents) if saturate else 0
+    return _store_blocks(M, mu, index, ehat @ snf.V.take_cols(range(r)),
+                         snf.Vinv.take_rows(range(r)), snf.Uinv.take_cols(range(r - k, r)))
 
 
 def minimal_extend(M: XObject, mu: Weight) -> XObject:
@@ -307,21 +331,7 @@ def minimal_extend(M: XObject, mu: Weight) -> XObject:
     columns of the kernel's SNF transformation; the lowering operator is
     surjective by construction and the raising operator is injective.
     """
-    M.rs.check_weight(mu)
-    if mu in M.region:
-        raise XCatError(f"weight {mu} already present")
-    ehat, _, index = hat_matrices(M, mu)
-    dr = _delta_rank(index)
-    if dr == 0:
-        return replace(M, region=M.region | {mu})
-    snf = linalg.smith_normal_form(ehat)
-    r = snf.rank
-    if r == 0:
-        return replace(M, region=M.region | {mu})
-    basis = snf.V.take_cols(range(r))
-    e_mu = ehat @ basis
-    f_mu = snf.Vinv.take_rows(range(r))
-    return _store_blocks(M, mu, index, e_mu, f_mu, r)
+    return _extend(M, mu, saturate=False)
 
 
 def maximal_extend(M: XObject, mu: Weight) -> XObject:
@@ -330,21 +340,10 @@ def maximal_extend(M: XObject, mu: Weight) -> XObject:
     First extend minimally, then adjoin one free generator per nonzero
     invariant factor of the saturation of the raising image inside the
     upper-neighbour sum; the new generators raise to the saturation basis
-    vectors (ordered as in the SNF) and lower to zero.
+    vectors (ordered as in the SNF) and lower to zero.  Both parts are read
+    off the same SNF.
     """
-    Mt = minimal_extend(M, mu)
-    index, e_mu, f_mu = delta_space(Mt, mu)
-    dr = _delta_rank(index)
-    if dr == 0:
-        return Mt
-    sat, exps = linalg.saturation_with_invariants(e_mu)
-    k = len(exps)
-    if k == 0:
-        return Mt
-    gamma = sat.take_cols(range(sat.cols - k, sat.cols))
-    e_new = hstack([e_mu, gamma]) if e_mu.cols else gamma
-    f_new = vstack([f_mu, Mat.zero(M.ring, k, dr)]) if f_mu.rows else Mat.zero(M.ring, k, dr)
-    return _store_blocks(Mt, mu, index, e_new, f_new, Mt.rank(mu) + k)
+    return _extend(M, mu, saturate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +386,31 @@ def _build_order(
     return weights_below(rs, lam, prune_hull=prune, height_bound=height_bound)
 
 
-def _verify_frontier(M: XObject, lam: Weight) -> None:
+def _build(
+    rs: RootSystem, ring: GroundRing, lam: Weight, step,
+    prune: bool, height_bound: int | None, weights: list[Weight] | None,
+) -> XObject:
+    """The build driver: the build order, the rank-1 seed at lam, then
+    ``M = step(M, mu)`` at every later weight of the order."""
+    order = _build_order(rs, lam, prune, height_bound, weights)
+    M = _seed(rs, ring, lam)
+    for mu in order[1:]:
+        M = step(M, mu)
+    return M
+
+
+def verify_frontier(M: XObject) -> None:
     """Recompute one height level beyond the processed region and insist the
     would-be weight spaces are zero, turning hull pruning into a checked
-    claim for this run."""
+    claim for this object.  Raises XCatError otherwise."""
+    if M.top is None:
+        raise XCatError("frontier verification needs an object with a top weight")
     rs = M.rs
     cands = set()
     for mu in M.region:
         for i in range(rs.rank):
             nu = rs.add_root(mu, i, -1)
-            if nu not in M.region and dominance_leq(rs, nu, lam):
+            if nu not in M.region and dominance_leq(rs, nu, M.top):
                 cands.add(nu)
     for nu in sorted(cands):
         ehat, _, _ = hat_matrices(M, nu)
@@ -411,16 +425,9 @@ def build_smin(
     prune: bool = True,
     height_bound: int | None = None,
     weights: list[Weight] | None = None,
-    verify_frontier: bool = False,
 ) -> XObject:
     """The minimal object with rank-1 top lam: the Weyl module W(lam)."""
-    order = _build_order(rs, lam, prune, height_bound, weights)
-    M = _seed(rs, ring, lam)
-    for mu in order[1:]:
-        M = minimal_extend(M, mu)
-    if verify_frontier:
-        _verify_frontier(M, lam)
-    return M
+    return _build(rs, ring, lam, minimal_extend, prune, height_bound, weights)
 
 
 def build_smax(
@@ -430,18 +437,11 @@ def build_smax(
     prune: bool = True,
     height_bound: int | None = None,
     weights: list[Weight] | None = None,
-    verify_frontier: bool = False,
 ) -> XObject:
     """The maximal object with rank-1 top lam: the indecomposable tilting
     module T(lam) over a local generic ring (coincides with build_smin over
     a field)."""
-    order = _build_order(rs, lam, prune, height_bound, weights)
-    M = _seed(rs, ring, lam)
-    for mu in order[1:]:
-        M = maximal_extend(M, mu)
-    if verify_frontier:
-        _verify_frontier(M, lam)
-    return M
+    return _build(rs, ring, lam, maximal_extend, prune, height_bound, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +475,9 @@ def restrict(M: XObject, keep: list[Weight] | frozenset[Weight]) -> XObject:
 # ---------------------------------------------------------------------------
 
 
-def _x2_tuples(M: XObject):
-    """Commutation-identity instances that can be nonzero and belong to the
+def _x2_failures(M: XObject):
+    """Yield (mu, a, b, m, n, source) for every commutation identity that
+    fails, over the instances that can be nonzero and belong to the
     object's index set.
 
     The bottom weight mu must lie in the closed set the object is defined
@@ -497,21 +498,20 @@ def _x2_tuples(M: XObject):
             in_index[mu] = hit
         return hit
 
-    seen = set()
-    for nu in supp:
+    for src in supp:
         for b in range(rs.rank):
             for n in range(1, bound):
-                mu = rs.add_root(nu, b, -n)
+                mu = rs.add_root(src, b, -n)
                 if not index_member(mu):
                     continue
                 for a in range(rs.rank):
                     for m in range(1, bound):
-                        if rs.add_root(mu, a, m) not in supp:
+                        tgt = rs.add_root(mu, a, m)
+                        if tgt not in supp:
                             continue
-                        key = (mu, a, b, m, n)
-                        if key not in seen:
-                            seen.add(key)
-                            yield key
+                        lhs = M.eop(mu, a, m) @ M.fop(mu, b, n)
+                        if lhs != _commutator_rhs(M, mu, a, b, m, n, src, tgt):
+                            yield mu, a, b, m, n, src
 
 
 def check_axioms(M: XObject) -> Report:
@@ -530,13 +530,9 @@ def check_axioms(M: XObject) -> Report:
     rep.add("X1", None, True, f"{len(M.spaces)} weights, all ranks finite")
 
     x2_fail = 0
-    for (mu, a, b, m, n) in _x2_tuples(M):
-        src = M.rs.add_root(mu, b, n)
-        lhs = M.eop(mu, a, m) @ M.fop(mu, b, n)
-        rhs = _commutator_rhs(M, mu, a, b, m, n)
-        if lhs != rhs:
-            x2_fail += 1
-            rep.add("X2", mu, False, f"alpha={a} beta={b} m={m} n={n} source={src}")
+    for mu, a, b, m, n, src in _x2_failures(M):
+        x2_fail += 1
+        rep.add("X2", mu, False, f"alpha={a} beta={b} m={m} n={n} source={src}")
     if not x2_fail:
         rep.add("X2", None, True)
 
@@ -545,7 +541,8 @@ def check_axioms(M: XObject) -> Report:
         _, e_mu, f_mu = delta_space(M, mu)
         if e_mu.rows == 0 or e_mu.cols == 0:
             continue
-        rank_f = linalg.rank(f_mu)
+        sat_f, exps = linalg.saturation_with_invariants(f_mu)
+        rank_f = sat_f.cols
         rank_ef = linalg.rank(e_mu @ f_mu)
         rank_e = linalg.rank(e_mu)
         if rank_ef != rank_f:
@@ -554,7 +551,6 @@ def check_axioms(M: XObject) -> Report:
         if rank_ef != rank_e:
             b_fail += 1
             rep.add("X3b", mu, False, f"rank(EF)={rank_ef} != rank(E)={rank_e}")
-        _, exps = linalg.saturation_with_invariants(f_mu)
         if exps:
             c_fail += 1
             rep.add("X3c", mu, False, f"saturation exponents {exps}")
@@ -577,12 +573,9 @@ def verify_relations(M: XObject) -> Report:
     ring, rs = M.ring, M.rs
 
     x2_fail = 0
-    for (mu, a, b, m, n) in _x2_tuples(M):
-        lhs = M.eop(mu, a, m) @ M.fop(mu, b, n)
-        rhs = _commutator_rhs(M, mu, a, b, m, n)
-        if lhs != rhs:
-            x2_fail += 1
-            rep.add("commutation", mu, False, f"alpha={a} beta={b} m={m} n={n}")
+    for mu, a, b, m, n, _ in _x2_failures(M):
+        x2_fail += 1
+        rep.add("commutation", mu, False, f"alpha={a} beta={b} m={m} n={n}")
     if not x2_fail:
         rep.add("commutation", None, True)
 
@@ -703,10 +696,10 @@ def weyl_multiplicities(M: XObject) -> dict[Weight, int]:
     out: dict[Weight, int] = {}
     for mu in sorted(M.spaces):
         _, _, f_mu = delta_space(M, mu)
-        _, exps = linalg.saturation_with_invariants(f_mu)
+        sat_f, exps = linalg.saturation_with_invariants(f_mu)
         if exps:
             raise XCatError(f"M_mu / im F_mu has torsion at {mu}: {exps}")
-        mult = M.rank(mu) - linalg.rank(f_mu)
+        mult = M.rank(mu) - sat_f.cols
         if mult:
             out[mu] = mult
     return out
@@ -851,16 +844,19 @@ def extend_hom(f: HomMap, M: XObject, N: XObject, mu: Weight) -> HomMap | Obstru
     raising image must lie inside the target's raising image, tested by
     exact solvability.  The particular solution with zero free coordinates
     makes the output deterministic."""
-    ring, rs = M.ring, M.rs
+    ring = M.ring
     index_m, em, fm = delta_space(M, mu)
     index_n, en, fn = delta_space(N, mu)
     fd = _assemble_f_delta(f, M, N, mu, index_m, index_n)
 
-    # Obstruction test on the raising generators.
+    # Obstruction test on the raising generators; their lifts also give the
+    # images of the complement, since solving is linear in the right-hand side.
     moved = fd @ em
-    for j in range(moved.cols):
-        if linalg.solve_in_span(en, moved.col(j)) is None:
-            return Obstructed(mu, moved.col(j))
+    lifted = linalg.solve_in_span(en, moved)
+    if lifted is None:
+        j = next(j for j in range(moved.cols)
+                 if linalg.solve_in_span(en, moved.col(j)) is None)
+        return Obstructed(mu, moved.col(j))
 
     r_m = M.rank(mu)
     if r_m == 0:
@@ -868,26 +864,15 @@ def extend_hom(f: HomMap, M: XObject, N: XObject, mu: Weight) -> HomMap | Obstru
         out[mu] = Mat.zero(ring, N.rank(mu), 0)
         return out
 
-    sat, exps = linalg.saturation_with_invariants(fm)
-    if exps:
+    # U @ fm @ V = [I 0]: Uinv is a basis of M_mu whose first k columns span
+    # the lowering image, fm @ V[:, :k] == Uinv[:, :k], and Uinv has inverse U.
+    snf = linalg.smith_normal_form(fm)
+    if any(snf.exponents):
         raise XCatError(f"lowering image is not a direct summand at {mu}")
-    comp = linalg.free_complement(fm) if sat.cols < r_m else Mat.zero(ring, r_m, 0)
-
-    images = []
-    for j in range(sat.cols):
-        y = linalg.solve_in_span(fm, sat.col(j))
-        if y is None:
-            raise XCatError("internal: lowering image basis not solvable")
-        images.append(fn @ (fd @ y))
-    for j in range(comp.cols):
-        w = fd @ (em @ comp.col(j))
-        x = linalg.solve_in_span(en, w)
-        if x is None:
-            return Obstructed(mu, w)
-        images.append(x)
-    basis = hstack([sat, comp]) if comp.cols else sat
-    f_mu = hstack(images) @ linalg.inverse_unit(basis) if images else Mat.zero(
-        ring, N.rank(mu), r_m)
+    k = snf.rank
+    images = hstack([fn @ (fd @ snf.V.take_cols(range(k))),
+                     lifted @ snf.Uinv.take_cols(range(k, r_m))])
+    f_mu = images @ snf.U
 
     if en @ f_mu != fd @ em or f_mu @ fm != fn @ fd:
         raise XCatError(

@@ -1,0 +1,76 @@
+"""The benchmark in bench/ measures the library from outside: bench/probe.py
+wraps the module attributes named in its FUNCS table, reads the delta index
+from ``hat_matrices(...)[2]`` and takes an extension step's weight from the
+step's last argument.  These tests pin that contract, so a library change
+cannot silently unhook the benchmark's counters.  They only read bench/."""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from qtilt import forms, xcat
+from qtilt.rootsys import weights_below
+from qtilt.xcat import DeltaBlock, hat_matrices
+
+PROBE = Path(__file__).resolve().parent.parent / "bench" / "probe.py"
+
+
+@pytest.fixture(scope="module")
+def probe():
+    write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_probe", PROBE)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+    finally:
+        sys.dont_write_bytecode = write
+    return mod
+
+
+def _resolve(dotted):
+    layer, name = dotted.split(".")
+    return getattr(importlib.import_module(f"qtilt.{layer}"), name, None)
+
+
+def test_probe_names_resolve(probe):
+    for layer, names in probe.FUNCS.items():
+        for name in names:
+            assert callable(_resolve(f"{layer}.{name}")), f"{layer}.{name}"
+    for dotted in probe.STEP_FUNCS | probe.XCAT_EXTEND | probe.RANK_ONLY_CALLERS:
+        assert callable(_resolve(dotted)), dotted
+
+
+def test_hat_matrices_returns_the_delta_index_third(a2, cyc3):
+    M = xcat.minimal_extend(xcat._seed(a2, cyc3, (1, 1)), (-1, 2))
+    res = hat_matrices(M, (0, 0))
+    assert isinstance(res, tuple) and len(res) == 3
+    assert res[2] and all(isinstance(b, DeltaBlock) for b in res[2])
+    assert sum(b.rank for b in res[2]) == res[0].cols
+
+
+def test_step_functions_take_the_weight_last(probe):
+    for dotted in probe.STEP_FUNCS:
+        params = list(inspect.signature(_resolve(dotted)).parameters)
+        assert params[-1] == "mu", dotted
+
+
+def test_probe_sees_every_build_step(probe, a2, cyc3):
+    lam = (1, 1)
+    steps = len(weights_below(a2, lam, prune_hull=True)) - 1
+    p = probe.Probe()
+    p.install("count")
+    try:
+        for mod, name in ((xcat, "build_smin"), (xcat, "build_smax"),
+                          (forms, "build_smax_with_form")):
+            p.reset()
+            getattr(mod, name)(a2, cyc3, lam)
+            assert p.counts["xcat.steps"] == steps, name
+            assert p.counts["xcat.hat"] == steps, name
+        assert p.counts["forms.steps"] == steps
+    finally:
+        p.uninstall()

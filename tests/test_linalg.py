@@ -262,3 +262,50 @@ def test_solve_in_span_reproduces_rhs(rows, coeffs):
     x = solve_in_span(g, b)
     assert x is not None
     assert g @ x == b
+
+
+def _per_column_solve(g, b):
+    cols = [solve_in_span(g, b.col(j)) for j in range(b.cols)]
+    if any(x is None for x in cols):
+        return None
+    return hstack(cols) if cols else Mat.zero(g.ring, g.cols, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(1, 3), st.data(),
+)
+def test_block_solve_matches_per_column_solves(m, n, data):
+    ring = integer_local(3)
+    ints = st.integers(-9, 9)
+    g = imat(ring, data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                                      min_size=m, max_size=m)))
+    cols = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            # a ring combination of the columns of g: always solvable
+            c = imat(ring, [[x] for x in data.draw(st.lists(ints, min_size=n, max_size=n))])
+            cols.append(g @ c)
+        else:
+            cols.append(imat(ring, [[x] for x in data.draw(st.lists(ints, min_size=m,
+                                                                     max_size=m))]))
+    b = hstack(cols) if cols else Mat.zero(ring, m, 0)
+    x = solve_in_span(g, b)
+    assert x == _per_column_solve(g, b)
+    if x is not None:
+        assert g @ x == b
+
+
+def test_block_solve_cyc_cases(cyc3):
+    g = qmat(cyc3, [[qint(1), qint(2)], [qint(2), qint(1)], [qint(1), qint(1)]])
+    inside = g @ qmat(cyc3, [[qint(1), qint(0), qint(3)], [qint(2), qint(1), qint(1)]])
+    outside = qmat(cyc3, [[qint(1)], [qint(0)], [qint(0)]])
+    for b in (inside, hstack([inside, outside]), hstack([outside, inside]),
+              Mat.zero(cyc3, 3, 0)):
+        x = solve_in_span(g, b)
+        assert x == _per_column_solve(g, b)
+        if x is not None:
+            assert g @ x == b
+    assert solve_in_span(g, outside) is None
+    with pytest.raises(LinAlgError):
+        solve_in_span(g, Mat.zero(cyc3, 2, 1))

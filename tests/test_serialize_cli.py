@@ -79,9 +79,11 @@ def test_golden_files_parse_and_match():
     assert load_form(text, F) == b
     assert dump_form(F, b) == text
     with open(os.path.join(golden, "a2_smin_int3_w11.json")) as fh:
-        W = load_xobject(fh.read())
+        text = fh.read()
+    W = load_xobject(text)
     assert W.ring == integer_local(3)
     assert check_axioms(W).ok
+    assert dump_xobject(build_smin(root_system("A2"), integer_local(3), (1, 1))) == text
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +160,62 @@ def test_cli_check_failure_exit_code(runner, tmp_path, a1, cyc3):
     assert not rep["ok"]
 
 
+def _golden_dict(name):
+    golden = os.path.join(os.path.dirname(__file__), "..", "docs", "golden")
+    with open(os.path.join(golden, name)) as fh:
+        return json.load(fh)
+
+
+def _coords_not_int(d):
+    d["weights"][0]["coords"] = ["x"]
+
+
+def _weight_as_list(d):
+    d["weights"][0] = [3]
+
+
+def _no_weights(d):
+    del d["weights"]
+
+
+@pytest.mark.parametrize("corrupt", [_coords_not_int, _weight_as_list, _no_weights])
+def test_malformed_files_exit_2(runner, tmp_path, corrupt):
+    obj = _golden_dict("a1_smax_cyc3_w3.json")
+    form = _golden_dict("a1_smaxform_cyc3_w3.form.json")
+    good_obj = tmp_path / "obj.json"
+    good_obj.write_text(json.dumps(obj))
+    corrupt(obj)
+    corrupt(form)
+    bad_obj, bad_form = tmp_path / "bad.json", tmp_path / "bad.form.json"
+    bad_obj.write_text(json.dumps(obj))
+    bad_form.write_text(json.dumps(form))
+    with pytest.raises(SerializeError):
+        load_xobject(bad_obj.read_text())
+    with pytest.raises(SerializeError):
+        load_form(bad_form.read_text(), load_xobject(good_obj.read_text()))
+    for args in (["check", str(bad_obj)], ["form-check", str(good_obj), str(bad_form)]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output
+        assert isinstance(res.exception, SystemExit)
+
+
+def test_internal_key_error_is_not_a_usage_error(runner, tmp_path, monkeypatch):
+    # A KeyError raised by library code is a bug, not malformed input: it
+    # must surface as a traceback, not as exit 2.
+    from qtilt import xcat
+
+    def broken(M):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(xcat, "check_axioms", broken)
+    path = tmp_path / "obj.json"
+    path.write_text(json.dumps(_golden_dict("a1_smax_cyc3_w3.json")))
+    res = runner.invoke(main, ["check", str(path)])
+    assert res.exit_code != 2
+    assert isinstance(res.exception, KeyError)
+
+
 @pytest.mark.parametrize("null", ["block", "entry"])
 def test_cli_check_null_entries_exit_code(runner, tmp_path, null):
     # Malformed input is a usage error (exit 2 with a message), never a
@@ -190,7 +248,9 @@ def test_cli_hom_extend(runner, tmp_path):
         assert res.exit_code == 0, res.output
     res = runner.invoke(main, ["hom-extend", str(a), str(b)])
     assert res.exit_code == 0, res.output
-    assert json.loads(res.output)["status"] == "extended"
+    golden = os.path.join(os.path.dirname(__file__), "..", "docs", "golden")
+    with open(os.path.join(golden, "a1_hom_smax_to_smaxform_cyc3_w3.json")) as fh:
+        assert res.output == fh.read()
     # obstructed direction: maximal into minimal
     s = tmp_path / "s.json"
     res = runner.invoke(main, ["build", "--kind", "smin", "--root", "A1",

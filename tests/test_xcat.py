@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtilt.linalg import Mat, is_unit_matrix, rank, saturation_with_invariants
-from qtilt.ring import embed, generic_field, qbinom, qint
-from qtilt.rootsys import weights_below, weyl_character
+from qtilt.linalg import Mat, hstack, is_unit_matrix, rank, saturation_with_invariants, vstack
+from qtilt.ring import embed, generic_field, parse_ring, qbinom, qint
+from qtilt.rootsys import root_system, weights_below, weyl_character
 from qtilt.serialize import dump_xobject
 from qtilt.xcat import (
     Obstructed,
@@ -25,6 +27,7 @@ from qtilt.xcat import (
     minimal_extend,
     minimality_certificate,
     restrict,
+    verify_frontier,
     verify_hom,
     verify_relations,
     weyl_multiplicities,
@@ -273,8 +276,10 @@ def test_random_dominant_builds_certify(label, coords, rdesc):
 
 
 def test_verify_frontier_flag(a1, a2, cyc3):
-    build_smin(a1, cyc3, (4,), verify_frontier=True)
-    build_smax(a2, cyc3, (1, 1), verify_frontier=True)
+    verify_frontier(build_smin(a1, cyc3, (4,)))
+    verify_frontier(build_smax(a2, cyc3, (1, 1)))
+    with pytest.raises(XCatError):
+        verify_frontier(direct_sum(build_smin(a1, cyc3, (2,)), build_smin(a1, cyc3, (0,))))
 
 
 def test_build_determinism(a2, cyc3):
@@ -497,3 +502,42 @@ def test_extend_hom_obstruction_smax_into_smin(a1, cyc3):
     assert isinstance(res, Obstructed)
     assert res.weight == (1,)
     assert not res.witness.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The one-SNF maximal step against the two-SNF composition of public steps
+
+
+def _reference_maximal_extend(M, mu):
+    """Minimal extension, then the saturation of the re-assembled raising
+    image from a second SNF, adjoined as in the paper's maximal step."""
+    Mt = minimal_extend(M, mu)
+    index, e_mu, f_mu = delta_space(Mt, mu)
+    sat, exps = saturation_with_invariants(e_mu)
+    k = len(exps)
+    if not k:
+        return Mt
+    dr = sum(b.rank for b in index)
+    e_new = hstack([e_mu, sat.take_cols(range(sat.cols - k, sat.cols))])
+    f_new = vstack([f_mu, Mat.zero(M.ring, k, dr)])
+    spaces, eops, fops = dict(Mt.spaces), dict(Mt.eops), dict(Mt.fops)
+    spaces[mu] = Mt.rank(mu) + k
+    for b in index:
+        rows = range(b.offset, b.offset + b.rank)
+        eops[(mu, b.alpha, b.n)] = e_new.take_rows(rows)
+        fops[(mu, b.alpha, b.n)] = f_new.take_cols(rows)
+    return replace(Mt, spaces=spaces, eops=eops, fops=fops)
+
+
+@pytest.mark.parametrize("root, ring, lam", [
+    *[("A1", f"cyc:{l}", (lam,)) for l in range(2, 7) for lam in (4, 7)],
+    *[("A1", "int:2", (lam,)) for lam in (5, 9)],
+    ("A2", "cyc:3", (2, 1)), ("B2", "cyc:3", (1, 1)), ("A2", "int:2", (2, 1)),
+    ("G2", "cyc:3", (1, 0)),
+])
+def test_maximal_step_matches_two_snf_reference(root, ring, lam):
+    rs, ring = root_system(root), parse_ring(ring)
+    M = seed(rs, ring, lam)
+    for mu in weights_below(rs, lam, prune_hull=True)[1:]:
+        M = _reference_maximal_extend(M, mu)
+    assert dump_xobject(build_smax(rs, ring, lam)) == dump_xobject(M)
