@@ -371,8 +371,9 @@ def relative_invariants(sub: Mat, sup: Mat) -> tuple[int, ...]:
 
     Both matrices live in the same ambient free module (equal row count) and
     every column of sub must lie in the ring-span of sup.  Zero invariants
-    are omitted: an empty tuple certifies equality of the spans when the
-    fraction-field ranks agree.
+    are omitted: an empty tuple certifies equality of the spans.  Takes one
+    SNF of sup and one of the coordinates of sub; raises LinAlgError
+    "fraction-field ranks differ" when the quotient is not torsion.
     """
     if sub.rows != sup.rows:
         raise LinAlgError("ambient rank mismatch")
@@ -382,7 +383,7 @@ def relative_invariants(sub: Mat, sup: Mat) -> tuple[int, ...]:
         raise LinAlgError("sub is not contained in the span of sup")
     snf_x = smith_normal_form(X)
     if snf_x.rank < snf.rank:
-        raise LinAlgError("quotient span(sup)/span(sub) is not torsion")
+        raise LinAlgError("fraction-field ranks differ")
     return tuple(e for e in snf_x.exponents if e > 0)
 
 

@@ -19,9 +19,10 @@ All four are generic: the image of every nonzero quantum integer is nonzero.
 This is certified at construction time by an explicit check up to a
 configurable bound.
 
-The Laurent kinds compute on dense integer polynomials (:mod:`qtilt.zpoly`):
-a canonical unit is v**s * n / d with n, d in Z[v] coprime in Q[v], so one
-rational content per element replaces Fraction coefficients.  Gcds are
+Laurent polynomials have one layout, the dense ``(shift, coefficients)``
+form of :mod:`qtilt.zpoly`, and their arithmetic is zpoly's.  A canonical
+unit is v**s * n / d with n, d in Z[v] coprime in Q[v], so one rational
+content per element replaces Fraction coefficients.  Gcds are
 GCDHEU with a primitive pseudo-remainder-sequence fallback, and sigma_l,
 being monic, is divided out by exact integer division.  Because sigma_l is
 irreducible over Q, the valuation rules out most of the canonicalization:
@@ -77,71 +78,61 @@ def _coeff(c):
 class LaurentPoly:
     """Laurent polynomial in v with rational coefficients.
 
-    Stored as a sorted tuple of (exponent, coefficient) pairs; zero
-    coefficients are never stored, so structural equality is semantic
-    equality.
+    Stored in the dense layout of :mod:`qtilt.zpoly`: the value is
+    v**shift * (c[0] + c[1]*v + ...) with c[0] and c[-1] nonzero, and zero
+    is shift 0 with c == ().  So structural equality is semantic equality,
+    and the arithmetic hands ``c`` to zpoly as it is.  ``from_dict`` stores
+    integral coefficients as ints; sums and products of Fractions may keep
+    an integral Fraction, which is equal and hash-equal to the int.
     """
 
-    coeffs: tuple[tuple[int, Fraction], ...] = ()
+    shift: int = 0
+    c: tuple = ()
 
     @staticmethod
     def from_dict(d: dict[int, Fraction | int]) -> "LaurentPoly":
-        items = []
+        d = {int(e): _coeff(c) for e, c in d.items() if c}
+        if not d:
+            return LP_ZERO
+        lo = min(d)
+        out = [0] * (max(d) - lo + 1)
         for e, c in d.items():
-            if c:
-                items.append((int(e), _coeff(c)))
-        return LaurentPoly(tuple(sorted(items)))
+            out[e - lo] = c
+        return LaurentPoly(lo, tuple(out))
+
+    @property
+    def coeffs(self) -> tuple[tuple[int, Fraction | int], ...]:
+        """The nonzero terms as sorted (exponent, coefficient) pairs."""
+        return tuple([(self.shift + i, c) for i, c in enumerate(self.c) if c])
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.c
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    @property
-    def min_exp(self) -> int:
-        if not self.coeffs:
-            raise RingError("zero polynomial has no degree")
-        return self.coeffs[0][0]
-
-    @property
-    def max_exp(self) -> int:
-        if not self.coeffs:
-            raise RingError("zero polynomial has no degree")
-        return self.coeffs[-1][0]
+        return bool(self.c)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = dict(self.coeffs)
-        for e, c in other.coeffs:
-            d[e] = d.get(e, 0) + c
-        return LaurentPoly.from_dict(d)
+        if not self.c:
+            return other
+        if not other.c:
+            return self
+        shift, c = zpoly.add(self.shift, self.c, other.shift, other.c)
+        return LaurentPoly(shift, tuple(c)) if c else LP_ZERO
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple([(e, -c) for e, c in self.coeffs]))
+        return LaurentPoly(self.shift, tuple([-c for c in self.c]))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        d: dict = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                e = e1 + e2
-                d[e] = d.get(e, 0) + c1 * c2
-        return LaurentPoly.from_dict(d)
-
-    def scale(self, c: Fraction | int) -> "LaurentPoly":
-        if not c:
-            return LaurentPoly()
-        return LaurentPoly(tuple((e, _coeff(a * c)) for e, a in self.coeffs))
-
-    def shift(self, e: int) -> "LaurentPoly":
-        """Multiply by v**e."""
-        return LaurentPoly(tuple((x + e, c) for x, c in self.coeffs))
+        if not self.c or not other.c:
+            return LP_ZERO
+        return LaurentPoly(self.shift + other.shift, tuple(zpoly.mul(self.c, other.c)))
 
     def eval_one(self) -> Fraction:
         """Image under v -> 1."""
-        return Fraction(sum(c for _, c in self.coeffs))
+        return Fraction(sum(self.c))
 
     def __str__(self) -> str:
         return format_laurent(self)
@@ -154,33 +145,18 @@ def lp(d: dict[int, Fraction | int]) -> LaurentPoly:
 
 
 LP_ZERO = LaurentPoly()
-LP_ONE = lp({0: 1})
-LP_V = lp({1: 1})
+LP_ONE = LaurentPoly(0, (1,))
+LP_V = LaurentPoly(1, (1,))
 
 
-# Dense polynomial helpers.  A "poly" here is a list of Fractions indexed by
-# degree, with a nonzero last entry (or the empty list for zero).
+# Dense polynomials over Q for the residue fields: lists of Fractions indexed
+# by degree, with a nonzero last entry (or the empty list for zero).
 
 
 def _poly_trim(a: list[Fraction]) -> list[Fraction]:
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def _lp_to_poly(p: LaurentPoly) -> tuple[int, list]:
-    """Split p = v**shift * P with P an ordinary polynomial, P(0) != 0."""
-    if p.is_zero():
-        return 0, []
-    shift = p.min_exp
-    out = [0] * (p.max_exp - shift + 1)
-    for e, c in p.coeffs:
-        out[e - shift] = c
-    return shift, out
-
-
-def _poly_to_lp(shift: int, a: list[Fraction]) -> LaurentPoly:
-    return LaurentPoly.from_dict({shift + i: c for i, c in enumerate(a)})
 
 
 def _poly_divmod(a: list, b: list) -> tuple[list, list]:
@@ -201,17 +177,16 @@ def _poly_divmod(a: list, b: list) -> tuple[list, list]:
 
 
 def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division in Q[v, 1/v]; raises RingError on a remainder."""
-    if b.is_zero():
+    """Exact division in Q[v, 1/v] by a monic b; raises RingError on a
+    remainder."""
+    if not b.c:
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
+    if not a.c:
         return LP_ZERO
-    sa, pa = _lp_to_poly(a)
-    sb, pb = _lp_to_poly(b)
-    q, r = _poly_divmod(pa, pb)
-    if r:
+    q = zpoly.quo(a.c, b.c)
+    if q is None:
         raise RingError("non-exact Laurent polynomial division")
-    return _poly_to_lp(sa - sb, q)
+    return LaurentPoly(a.shift - b.shift, tuple(q))
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +462,6 @@ class RingElem:
     def is_unit(self) -> bool:
         return self.num is not None and self.k == 0
 
-    def is_one(self) -> bool:
-        return self == self.ring.one()
-
     # -- arithmetic ------------------------------------------------------
 
     def _check_ring(self, other: "RingElem") -> None:
@@ -577,31 +549,10 @@ class RingElem:
     __repr__ = __str__
 
 
-def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
-    """Split a nonzero integer-coefficient p as v**shift * P, P(0) != 0."""
-    cs = p.coeffs
-    lo, hi = cs[0][0], cs[-1][0]
-    if len(cs) == hi - lo + 1:
-        return lo, [c for _, c in cs]
-    out = [0] * (hi - lo + 1)
-    for e, c in cs:
-        out[e - lo] = c
-    return lo, out
-
-
-def _sparse(shift: int, a) -> LaurentPoly:
-    # tuple() of an exact-size list: a tuple built from a generator keeps
-    # its over-allocated block, which shows in the peak memory of builds.
-    return LaurentPoly(tuple([(shift + i, c) for i, c in enumerate(a) if c]))
-
-
-_ONE_TERMS = LP_ONE.coeffs
-
-
 @lru_cache(maxsize=None)
 def _sigma_pow(l: int, m: int) -> tuple[int, ...]:
     """sigma_l**m as a dense coefficient tuple."""
-    sigma = _dense(cyclotomic_poly(l))[1]
+    sigma = cyclotomic_poly(l).c
     out = [1]
     for _ in range(m):
         out = zpoly.mul(out, sigma)
@@ -639,8 +590,10 @@ def _finish(ring: GroundRing, k: int, shift: int, n, d) -> RingElem:
     if g != 1:
         n = [x // g for x in n]
         d = [x // g for x in d]
-    den = LP_ONE if len(d) == 1 and d[0] == 1 else _sparse(0, d)
-    return RingElem(ring, k, _sparse(shift, n), den)
+    # tuple() of an exact-size list: a tuple built from a generator keeps
+    # its over-allocated block, which shows in the peak memory of builds.
+    den = LP_ONE if len(d) == 1 and d[0] == 1 else LaurentPoly(0, tuple(d))
+    return RingElem(ring, k, LaurentPoly(shift, tuple(n)), den)
 
 
 def _sigma_divides(a, l: int) -> bool:
@@ -662,16 +615,17 @@ def _strip_sigma(n, l: int, k: int):
 
 def _make_laurent(ring: GroundRing, num: LaurentPoly, den: LaurentPoly) -> RingElem:
     """Canonicalize num/den in a Laurent kind, coefficients int or Fraction:
-    clear denominators, cancel the gcd, move every factor sigma_l of the
-    numerator into k and refuse a denominator that sigma_l divides."""
+    clear denominators (every Fraction, so zpoly computes on ints only),
+    cancel the gcd, move every factor sigma_l of the numerator into k and
+    refuse a zero denominator or one that sigma_l divides."""
     if den.is_zero():
-        raise ZeroDivisionError("division by zero")
+        raise RingError("zero denominator")
     if num.is_zero():
         return ring.zero()
-    sn, n = _lp_to_poly(num)
-    sd, d = _lp_to_poly(den)
-    m = math.lcm(*[c.denominator for c in n + d if isinstance(c, Fraction)])
-    if m != 1:
+    n, d = num.c, den.c
+    dens = [c.denominator for c in n + d if isinstance(c, Fraction)]
+    if dens:
+        m = math.lcm(*dens)
         n = [c.numerator * (m // c.denominator) for c in map(Fraction, n)]
         d = [c.numerator * (m // c.denominator) for c in map(Fraction, d)]
     n, d = zpoly.cancel(n, d)
@@ -680,7 +634,7 @@ def _make_laurent(ring: GroundRing, num: LaurentPoly, den: LaurentPoly) -> RingE
         n, k = _strip_sigma(n, ring.param, 0)
         if _sigma_divides(d, ring.param):
             raise RingError(f"denominator divisible by the uniformizer; not in {ring}")
-    return _finish(ring, k, sn - sd, n, d)
+    return _finish(ring, k, num.shift - den.shift, n, d)
 
 
 def _laurent_add(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
@@ -693,8 +647,8 @@ def _laurent_add(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
     g = gcd(d1, d2) the sum is t / (d1 d2 / g) with t = n1 d2/g + n2 d1/g,
     and only gcd(t, g) can still cancel.
     """
-    s1, n1 = _dense(x.num)
-    s2, n2 = _dense(y.num)
+    s1, n1 = x.num.shift, x.num.c
+    s2, n2 = y.num.shift, y.num.c
     k = min(x.k, y.k)
     if x.k != y.k:
         sigma_m = _sigma_pow(ring.param, abs(x.k - y.k))
@@ -702,11 +656,11 @@ def _laurent_add(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
             n2 = zpoly.mul(n2, sigma_m)
         else:
             n1 = zpoly.mul(n1, sigma_m)
-    if x.den.coeffs == _ONE_TERMS and y.den.coeffs == _ONE_TERMS:
+    d1, d2 = x.den.c, y.den.c
+    if d1 == d2 == (1,):
         shift, t = zpoly.add(s1, n1, s2, n2)
         d = [1]
     else:
-        d1, d2 = _dense(x.den)[1], _dense(y.den)[1]
         g = [1]
         if len(d1) > 1 and len(d2) > 1:
             g, d1, d2 = zpoly.gcd(d1, d2)
@@ -730,24 +684,23 @@ def _laurent_mul(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
     cross-cancellation by gcd(n1, d2) and gcd(n2, d1) leaves a reduced
     fraction.
     """
-    s1, n1 = _dense(x.num)
-    s2, n2 = _dense(y.num)
-    if x.den.coeffs == _ONE_TERMS and y.den.coeffs == _ONE_TERMS:
-        return RingElem(ring, x.k + y.k, _sparse(s1 + s2, zpoly.mul(n1, n2)), LP_ONE)
-    n1, d2 = zpoly.cancel(n1, _dense(y.den)[1])
-    n2, d1 = zpoly.cancel(n2, _dense(x.den)[1])
-    return _finish(ring, x.k + y.k, s1 + s2, zpoly.mul(n1, n2), zpoly.mul(d1, d2))
+    n1, n2 = x.num.c, y.num.c
+    shift = x.num.shift + y.num.shift
+    if x.den.c == y.den.c == (1,):
+        return RingElem(ring, x.k + y.k, LaurentPoly(shift, tuple(zpoly.mul(n1, n2))), LP_ONE)
+    n1, d2 = zpoly.cancel(n1, y.den.c)
+    n2, d1 = zpoly.cancel(n2, x.den.c)
+    return _finish(ring, x.k + y.k, shift, zpoly.mul(n1, n2), zpoly.mul(d1, d2))
 
 
 def _laurent_div(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
     """x / y for nonzero x, y with x.k >= y.k: (n1 d2) / (d1 n2) after
     Henrici's cancellation by gcd(n1, n2) and gcd(d1, d2); as for products,
     no factor sigma_l can appear."""
-    s1, n1 = _dense(x.num)
-    s2, n2 = _dense(y.num)
-    n1, n2 = zpoly.cancel(n1, n2)
-    d1, d2 = zpoly.cancel(_dense(x.den)[1], _dense(y.den)[1])
-    return _finish(ring, x.k - y.k, s1 - s2, zpoly.mul(n1, d2), zpoly.mul(d1, n2))
+    n1, n2 = zpoly.cancel(x.num.c, y.num.c)
+    d1, d2 = zpoly.cancel(x.den.c, y.den.c)
+    shift = x.num.shift - y.num.shift
+    return _finish(ring, x.k - y.k, shift, zpoly.mul(n1, d2), zpoly.mul(d1, n2))
 
 
 def embed(p: LaurentPoly, ring: GroundRing) -> RingElem:
@@ -775,9 +728,8 @@ def to_fraction_field(x: RingElem) -> RingElem:
         return fk.zero()
     if ring.kind is RingKind.CYCLOTOMIC_LOCAL:
         # sigma_l**k is primitive and prime to the denominator: still reduced.
-        shift, n = _dense(x.num)
-        n = zpoly.mul(n, _sigma_pow(ring.param, x.k))
-        return _finish(fk, 0, shift, n, _dense(x.den)[1])
+        n = zpoly.mul(x.num.c, _sigma_pow(ring.param, x.k))
+        return _finish(fk, 0, x.num.shift, n, x.den.c)
     return _make_numeric(fk, x._q_value())
 
 
@@ -828,7 +780,7 @@ class ResidueElem:
         if isinstance(self.value, int):
             return ResidueElem(self.field, (self.value * other.value) % self.field[1])
         l = self.field[1]
-        _, sigma = _lp_to_poly(cyclotomic_poly(l))
+        sigma = list(cyclotomic_poly(l).c)
         prod = _poly_mul(list(self.value), list(other.value))
         _, rem = _poly_divmod(prod, sigma)
         rem += [Fraction(0)] * (len(sigma) - 1 - len(rem))
@@ -838,13 +790,13 @@ class ResidueElem:
     def from_int(n: int, field: tuple[str, int]) -> "ResidueElem":
         if field[0] == "fp":
             return ResidueElem(field, n % field[1])
-        deg = len(_lp_to_poly(cyclotomic_poly(field[1]))[1]) - 1
+        deg = len(cyclotomic_poly(field[1]).c) - 1
         return ResidueElem(field, tuple([Fraction(n)] + [Fraction(0)] * (deg - 1)))
 
     def __str__(self) -> str:
         if isinstance(self.value, int):
             return str(self.value)
-        return format_laurent(_poly_to_lp(0, list(self.value)))
+        return format_laurent(lp(dict(enumerate(self.value))))
 
     __repr__ = __str__
 
@@ -868,14 +820,14 @@ def _reduce_mod_sigma(p: LaurentPoly, l: int) -> list[Fraction]:
     dense = [Fraction(0)] * l
     for e, c in folded.items():
         dense[e] += c
-    _, sigma = _lp_to_poly(cyclotomic_poly(l))
+    sigma = list(cyclotomic_poly(l).c)
     _, rem = _poly_divmod(_poly_trim(dense), sigma)
     return rem
 
 
 def _invert_mod_sigma(a: list[Fraction], l: int) -> list[Fraction]:
     """Inverse of a modulo sigma_l in Q[v] (extended Euclid)."""
-    _, sigma = _lp_to_poly(cyclotomic_poly(l))
+    sigma = list(cyclotomic_poly(l).c)
     r0, r1 = list(sigma), list(a)
     t0: list[Fraction] = []
     t1: list[Fraction] = [Fraction(1)]
@@ -911,13 +863,13 @@ def residue(x: RingElem) -> ResidueElem:
         val = u.numerator * pow(u.denominator, -1, p) % p
         return ResidueElem(("fp", p), val)
     l = ring.param
-    deg = len(_lp_to_poly(cyclotomic_poly(l))[1]) - 1
+    deg = len(cyclotomic_poly(l).c) - 1
     if x.is_zero() or x.k > 0:
         return ResidueElem(("cyc", l), tuple([Fraction(0)] * deg))
     num_r = _reduce_mod_sigma(x.num, l)
     den_r = _reduce_mod_sigma(x.den, l)
     inv = _invert_mod_sigma(den_r, l)
-    _, sigma = _lp_to_poly(cyclotomic_poly(l))
+    sigma = list(cyclotomic_poly(l).c)
     _, rem = _poly_divmod(_poly_mul(num_r, inv), sigma)
     rem += [Fraction(0)] * (deg - len(rem))
     return ResidueElem(("cyc", l), tuple(rem))
@@ -944,16 +896,16 @@ def _term_str(e: int, c: Fraction) -> str:
 
 
 def format_laurent(p: LaurentPoly) -> str:
-    if p.is_zero():
+    if not p.c:
         return "0"
-    if len(p.coeffs) == 1:
-        e, c = p.coeffs[0]
-        return _term_str(e, c)
-    m = p.min_exp
-    body = p.shift(-m) if m else p
+    if len(p.c) == 1:
+        return _term_str(p.shift, p.c[0])
+    m = p.shift
     parts: list[str] = []
-    for e, c in reversed(body.coeffs):
-        t = _term_str(e, c)
+    for e in range(len(p.c) - 1, -1, -1):
+        if not p.c[e]:
+            continue
+        t = _term_str(e, p.c[e])
         if parts and not t.startswith("-"):
             parts.append("+" + t)
         else:
@@ -990,15 +942,35 @@ _TERM_RE = re.compile(
 )
 
 
+# Parsed polynomials are stored densely: refuse a degree span too wide to
+# store and cancel in reasonable time instead of attempting it.
+_MAX_PARSED_SPAN = 10**4
+
+_NUMBER_RE = re.compile(r"-?\d+(?:/\d+)?")
+
+
+def _number(s: str) -> int | Fraction:
+    """An integer or fraction of the element format, else RingError (also
+    for a zero denominator and for more digits than int() converts)."""
+    if _NUMBER_RE.fullmatch(s):
+        num, _, den = s.partition("/")
+        try:
+            return Fraction(int(num), int(den)) if den else int(num)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise RingError(f"bad number {s!r}")
+
+
 def _parse_vpow(s: str) -> int:
     if s == "v":
         return 1
     if not s.startswith("v^"):
         raise RingError(f"bad monomial {s!r}")
-    return int(s[2:])
+    return _number(s[2:])
 
 
-def _parse_laurent_sum(s: str) -> LaurentPoly:
+def _parse_laurent_sum(s: str, shift: int = 0) -> LaurentPoly:
+    """v**shift times the sum s."""
     # Split into signed terms at top level; the printed form never nests
     # parentheses inside a sum.
     terms: list[str] = []
@@ -1010,18 +982,21 @@ def _parse_laurent_sum(s: str) -> LaurentPoly:
         else:
             cur += ch
     terms.append(cur)
-    out: dict[int, Fraction] = {}
+    out: dict[int, int | Fraction] = {}
     for t in terms:
         m = _TERM_RE.fullmatch(t)
         if not m:
             raise RingError(f"cannot parse term {t!r}")
         if m.group("vp2") is not None:
             e = _parse_vpow(m.group("vp2"))
-            c = Fraction(-1 if m.group("sign") == "-" else 1)
+            c = -1 if m.group("sign") == "-" else 1
         else:
-            c = Fraction(m.group("coef"))
+            c = _number(m.group("coef"))
             e = _parse_vpow(m.group("vp1")) if m.group("vp1") else 0
-        out[e] = out.get(e, Fraction(0)) + c
+        out[shift + e] = out.get(shift + e, 0) + c
+    exps = [e for e, c in out.items() if c]
+    if exps and max(exps) - min(exps) > _MAX_PARSED_SPAN:
+        raise RingError(f"degree span of {s[:40]!r} exceeds {_MAX_PARSED_SPAN}")
     return LaurentPoly.from_dict(out)
 
 
@@ -1031,14 +1006,14 @@ def parse_laurent(s: str) -> LaurentPoly:
         return LP_ZERO
     m = re.fullmatch(r"(v(?:\^-?\d+)?)\*\((.*)\)", s)
     if m:
-        return _parse_laurent_sum(m.group(2)).shift(_parse_vpow(m.group(1)))
+        return _parse_laurent_sum(m.group(2), _parse_vpow(m.group(1)))
     return _parse_laurent_sum(s)
 
 
 def _parse_unit(s: str, ring: GroundRing) -> RingElem:
     s = s.strip()
     if not ring.is_laurent:
-        return ring.from_fraction(Fraction(s))
+        return ring.from_fraction(_number(s))
     m = re.fullmatch(r"\((.*)\)/\((.*)\)", s)
     if m:
         return _make_laurent(ring, parse_laurent(m.group(1)), parse_laurent(m.group(2)))
@@ -1046,7 +1021,8 @@ def _parse_unit(s: str, ring: GroundRing) -> RingElem:
 
 
 def parse_elem(s: str, ring: GroundRing) -> RingElem:
-    """Parse the textual element format; exact inverse of format_elem."""
+    """Parse the textual element format; exact inverse of format_elem.
+    Malformed text raises RingError."""
     s = s.strip()
     if s == "0":
         return ring.zero()
@@ -1054,7 +1030,7 @@ def parse_elem(s: str, ring: GroundRing) -> RingElem:
         sym = re.escape(ring.uniformizer_symbol())
         m = re.fullmatch(rf"{sym}\^(\d+) \* (.*)", s)
         if m:
-            k = int(m.group(1))
+            k = _number(m.group(1))
             body = m.group(2).strip()
             if body.startswith("(") and body.endswith(")"):
                 inner = body[1:-1]
@@ -1066,5 +1042,8 @@ def parse_elem(s: str, ring: GroundRing) -> RingElem:
                     unit = _parse_unit(body, ring)
             else:
                 unit = _parse_unit(body, ring)
-            return unit * ring.uniformizer() ** k
+            # pi**k * (pi**j * u) is canonical as pi**(j + k) * u.
+            if unit.is_zero():
+                return unit
+            return RingElem(ring, unit.k + k, unit.num, unit.den)
     return _parse_unit(s, ring)

@@ -501,3 +501,129 @@ def test_parse_rejects_denominator_divisible_by_sigma(cyc3):
     for text in ("(1)/(v^2+v+1)", "(v)/(v^3-1)", "s^1 * ((1)/(v^2+v+1))"):
         with pytest.raises(RingError):
             parse_elem(text, cyc3)
+
+
+# ---------------------------------------------------------------------------
+# LaurentPoly: dense storage against sympy
+
+
+def assert_dense(p):
+    assert isinstance(p.c, tuple)
+    if p.c:
+        assert p.c[0] and p.c[-1]
+    else:
+        assert (p.shift, p.c) == (0, ()) and p == LP_ZERO
+
+
+_lp_terms = st.dictionaries(st.integers(-4, 4), _coeffs, max_size=5)
+
+
+@st.composite
+def lp_pairs(draw):
+    """Two Laurent polynomials; often the second cancels the lowest and the
+    highest term of the first in a sum, or is its negative."""
+    a, b = draw(_lp_terms), draw(_lp_terms)
+    mode = draw(st.sampled_from(["free", "ends", "negative"]))
+    if a and mode == "ends":
+        lo, hi = min(a), max(a)
+        b = {e: c for e, c in b.items() if lo < e < hi}
+        b[lo], b[hi] = -a[lo], -a[hi]
+    elif mode == "negative":
+        b = {e: -c for e, c in a.items()}
+    return a, b
+
+
+def _sympy_terms(d):
+    return sum((sympy.Rational(c.numerator, c.denominator) * V**e for e, c in d.items()),
+               sympy.Integer(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lp_pairs())
+def test_laurent_arithmetic_matches_sympy(pair):
+    da, db = pair
+    a, b = lp(da), lp(db)
+    sa, sb = _sympy_terms(da), _sympy_terms(db)
+    for p, value in ((a, sa), (b, sb), (a + b, sa + sb), (a - b, sa - sb),
+                     (a * b, sa * sb), (-a, -sa)):
+        assert_dense(p)
+        assert sympy.expand(to_sympy(p) - value) == 0
+        # coeffs is the sorted sparse view of the same value
+        assert list(p.coeffs) == sorted(p.coeffs) and all(c for _, c in p.coeffs)
+    # equal values are equal and hash-equal however they were built
+    for p, q in ((a + b, b + a), (a * b, b * a), ((a + b) - b, a), (a - a, LP_ZERO),
+                 (lp(dict(a.coeffs)), a), (lp({e: Fraction(c) for e, c in da.items()}), a),
+                 (a * LP_ONE, a), (LP_ONE * a, a)):
+        assert p == q and hash(p) == hash(q)
+
+
+def test_laurent_integral_fractions_hash_like_ints():
+    half = lp({0: Fraction(1, 2), 3: Fraction(3, 2)})
+    total = half + half
+    assert total == lp({0: 1, 3: 3}) and hash(total) == hash(lp({0: 1, 3: 3}))
+    assert lp({2: Fraction(4, 2)}).c == (2,) and type(lp({2: Fraction(4, 2)}).c[0]) is int
+    # a Fraction-valued unit canonicalizes exactly as the int one does
+    gf = generic_field()
+    assert embed(total, gf) == embed(lp({0: 1, 3: 3}), gf)
+
+
+# ---------------------------------------------------------------------------
+# parse_elem: uniformizer powers and fuzzing
+
+
+def test_parse_uniformizer_power_takes_no_products(monkeypatch, cyc3, int3):
+    cases = [(int3, "3^5000 * 2"), (int3, "3^5000 * (-4/5)"),
+             (cyc3, "s^5000 * 1"), (cyc3, "s^5000 * ((v^2+2)/(v+2))")]
+    calls = []
+    mul = ring_mod.RingElem.__mul__
+    monkeypatch.setattr(ring_mod.RingElem, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    for ring, text in cases:
+        x = parse_elem(text, ring)
+        assert x.k == 5000 and format_elem(x) == text
+    assert parse_elem("s^7 * 0", cyc3).is_zero()
+    assert not calls
+    monkeypatch.undo()
+    # the same canonical element as pi**k times the unit
+    for ring, unit in ((int3, "-4/5"), (cyc3, "(v^2+2)/(v+2)"), (cyc3, "v^2+v+1")):
+        sym = ring.uniformizer_symbol()
+        want = ring.uniformizer() ** 6 * parse_elem(unit, ring)
+        assert parse_elem(f"{sym}^6 * ({unit})", ring) == want
+
+
+def test_parse_refuses_a_huge_degree_span(gf):
+    with pytest.raises(RingError):
+        parse_elem("v^100000000+1", gf)
+    assert str(parse_elem("v^100000000", gf)) == "v^100000000"
+
+
+_FORMAT_ALPHABET = "0123456789-+*/^()vs "
+_PARSE_RINGS = [generic_field(), rational_field(), cyclotomic_local(3), integer_local(3)]
+
+
+@st.composite
+def element_texts(draw):
+    """Text from the alphabet of the element format: either free text or a
+    printed element with one slice replaced."""
+    ring = draw(st.sampled_from(_PARSE_RINGS))
+    if draw(st.booleans()):
+        return ring, draw(st.text(_FORMAT_ALPHABET, max_size=30))
+    num = lp(draw(st.dictionaries(st.integers(-3, 3), st.integers(-9, 9), max_size=4)))
+    x = embed(num, ring)
+    if ring.is_dvr and draw(st.booleans()):
+        x = x * ring.uniformizer() ** draw(st.integers(1, 3))
+    text = format_elem(x)
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, len(text)))
+    return ring, text[:i] + draw(st.text(_FORMAT_ALPHABET, max_size=4)) + text[j:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(element_texts())
+def test_parse_elem_fuzz(case):
+    ring, text = case
+    try:
+        x = parse_elem(text, ring)
+    except RingError:
+        return
+    assert x.ring == ring
+    assert parse_elem(format_elem(x), ring) == x

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from qtilt.cli import main
 from qtilt.forms import build_smax_with_form
+from qtilt.ring import RingError
 from qtilt.serialize import (
     SerializeError,
     dump_form,
@@ -178,20 +179,39 @@ def _no_weights(d):
     del d["weights"]
 
 
-@pytest.mark.parametrize("corrupt", [_coords_not_int, _weight_as_list, _no_weights])
-def test_malformed_files_exit_2(runner, tmp_path, corrupt):
-    obj = _golden_dict("a1_smax_cyc3_w3.json")
+def _first_entry(text):
+    def corrupt(d):
+        if "operators" in d:
+            d["operators"][0]["entries"][0][0] = text
+        else:
+            d["weights"][0]["gram"][0][0] = text
+    return corrupt
+
+
+_CYC3_OBJ = "a1_smax_cyc3_w3.json"
+
+
+@pytest.mark.parametrize("golden,corrupt,error", [
+    pytest.param(_CYC3_OBJ, _coords_not_int, SerializeError, id="_coords_not_int"),
+    pytest.param(_CYC3_OBJ, _weight_as_list, SerializeError, id="_weight_as_list"),
+    pytest.param(_CYC3_OBJ, _no_weights, SerializeError, id="_no_weights"),
+    pytest.param("a2_smin_int3_w11.json", _first_entry("abc"), RingError, id="abc_int3"),
+    pytest.param(_CYC3_OBJ, _first_entry("1/0"), RingError, id="one_over_zero_cyc3"),
+    pytest.param(_CYC3_OBJ, _first_entry("(1)/(0)"), RingError, id="zero_den_cyc3"),
+])
+def test_malformed_files_exit_2(runner, tmp_path, golden, corrupt, error):
+    obj = _golden_dict(golden)
     form = _golden_dict("a1_smaxform_cyc3_w3.form.json")
     good_obj = tmp_path / "obj.json"
-    good_obj.write_text(json.dumps(obj))
+    good_obj.write_text(json.dumps(_golden_dict(_CYC3_OBJ)))
     corrupt(obj)
     corrupt(form)
     bad_obj, bad_form = tmp_path / "bad.json", tmp_path / "bad.form.json"
     bad_obj.write_text(json.dumps(obj))
     bad_form.write_text(json.dumps(form))
-    with pytest.raises(SerializeError):
+    with pytest.raises(error):
         load_xobject(bad_obj.read_text())
-    with pytest.raises(SerializeError):
+    with pytest.raises(error):
         load_form(bad_form.read_text(), load_xobject(good_obj.read_text()))
     for args in (["check", str(bad_obj)], ["form-check", str(good_obj), str(bad_form)]):
         res = runner.invoke(main, args)

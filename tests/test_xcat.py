@@ -392,6 +392,34 @@ def test_certificates(a1, a2, cyc3):
     assert not minimality_certificate(build_smax(a1, cyc3, (3,))).ok
 
 
+@pytest.mark.parametrize("scale,witness", [
+    ("zero", "fraction-field ranks differ"),
+    ("uniformizer", "relative invariants (1,)"),
+])
+def test_minimality_certificate_witnesses(a1, cyc3, scale, witness):
+    # Scaling every lowering operator of an smin object by 0 drops the rank
+    # of e_mu @ f_mu; scaling by the uniformizer keeps the rank and leaves
+    # torsion span(e_mu) / span(e_mu @ f_mu) of exponent 1.
+    S = build_smin(a1, cyc3, (2,))
+    c = getattr(cyc3, scale)()
+    fops = {key: f.scale(c) for key, f in S.fops.items()}
+    bad = XObject(cyc3, a1, dict(S.spaces), dict(S.eops), fops, S.region, S.top)
+    fails = [(e.weight, e.witness) for e in minimality_certificate(bad).failures()]
+    assert fails == [((-2,), witness), ((0,), witness)]
+
+
+def test_minimality_certificate_two_snfs_per_weight(a2, cyc3, monkeypatch):
+    import qtilt.linalg as linalg_mod
+
+    S = build_smin(a2, cyc3, (2, 1))
+    checked = [mu for mu in S.region if delta_space(S, mu)[1].rows]
+    calls = []
+    snf = linalg_mod.smith_normal_form
+    monkeypatch.setattr(linalg_mod, "smith_normal_form", lambda m: calls.append(m) or snf(m))
+    assert minimality_certificate(S).ok
+    assert len(calls) == 2 * len(checked)
+
+
 def test_weyl_multiplicities_smin(a2, cyc3):
     M = build_smin(a2, cyc3, (2, 1))
     assert weyl_multiplicities(M) == {(2, 1): 1}
