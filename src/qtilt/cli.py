@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 when a check fails, 2 on usage errors.  Weights
+Exit codes: 0 on success, 1 when a check fails, 2 on usage errors and on
+input or output files that cannot be read, decoded or written.  Weights
 on the command line are comma-separated fundamental-weight coordinates.  The
 QTILT_OUT_DIR environment variable supplies a default directory for relative
 output paths.
@@ -78,7 +79,7 @@ def run(spec: JobSpec) -> int:
     try:
         return _dispatch(spec)
     except (RingError, RootSystemError, XCatError, forms.FormError,
-            serialize.SerializeError, FileNotFoundError,
+            serialize.SerializeError, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2

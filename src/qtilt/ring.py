@@ -9,9 +9,10 @@ Supported ground rings:
 
 * ``generic``   -- the field Q(v) of rational functions in v, q = v,
 * ``cyc:l``     -- rational-coefficient Laurent polynomials in v localized at
-  the l-th cyclotomic polynomial, q = v (a discrete valuation ring),
+  the l-th cyclotomic polynomial sigma_l, q = v (a discrete valuation ring
+  with uniformizer sigma_l),
 * ``int:p``     -- rationals with denominator coprime to the prime p, q = 1
-  (a discrete valuation ring),
+  (a discrete valuation ring with uniformizer p),
 * ``rational``  -- the field Q with q = 1 (arises as the fraction field of
   ``int:p``).
 
@@ -19,22 +20,28 @@ All four are generic: the image of every nonzero quantum integer is nonzero.
 This is certified at construction time by an explicit check up to a
 configurable bound.
 
+Every kind stores its elements alike, as pi**k * v**s * n / d with n and d
+integer polynomials; over ``int:p`` and ``rational`` n and d are constants.
 Laurent polynomials have one layout, the dense ``(shift, coefficients)``
 form of :mod:`qtilt.zpoly`, and their arithmetic is zpoly's.  A canonical
 unit is v**s * n / d with n, d in Z[v] coprime in Q[v], so one rational
-content per element replaces Fraction coefficients.  Gcds are
-GCDHEU with a primitive pseudo-remainder-sequence fallback, and sigma_l,
-being monic, is divided out by exact integer division.  Because sigma_l is
-irreducible over Q, the valuation rules out most of the canonicalization:
-products and quotients of canonical elements never gain a factor sigma_l,
-and a sum of elements of different valuations has the smaller one.  Only
-sums of equal valuation, ``embed`` and parsing search for sigma_l.
+content per element replaces Fraction coefficients.  Gcds are GCDHEU with a
+primitive pseudo-remainder-sequence fallback, and the uniformizer pi (the
+monic sigma_l or the prime p) is divided out by exact integer division.
+Because pi is prime (sigma_l is irreducible over Q, p is prime in Z), the
+valuation rules out most of the canonicalization: products and quotients of
+canonical elements never gain a factor pi, and a sum of elements of
+different valuations has the smaller one.  Only sums of equal valuation,
+``from_fraction``, ``embed`` and parsing search for pi.  The kinds differ
+only where q does: ``embed`` evaluates at v = 1 when q = 1, and a unit of
+``int:p`` or ``rational`` prints as ``a`` or ``a/b``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -50,14 +57,6 @@ class RingError(ValueError):
 # ---------------------------------------------------------------------------
 # Laurent polynomials over Q
 # ---------------------------------------------------------------------------
-
-
-def _frac(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
 def _coeff(c):
@@ -329,25 +328,35 @@ class GroundRing:
         return self.from_int(1)
 
     def from_int(self, n: int) -> "RingElem":
-        return self.from_fraction(Fraction(n))
+        return self.from_fraction(n)
 
     def from_fraction(self, f: Fraction | int) -> "RingElem":
-        f = _frac(f)
-        if self.is_laurent:
-            if not f:
-                return self.zero()
-            # A nonzero constant is prime to every sigma_l (degree >= 1).
-            return _finish(self, 0, 0, [f.numerator], [f.denominator])
-        return _make_numeric(self, f)
+        f = _coeff(f)  # an int or a non-integral Fraction
+        if not f:
+            return self.zero()
+        n, d, k = [f.numerator], [f.denominator], 0
+        # A nonzero constant is prime to every sigma_l (degree >= 1), not to p.
+        if self.kind is RingKind.INTEGER_LOCAL:
+            n, k = _strip_pi(self, n, 0)
+            if _pi_divides(self, d):
+                raise RingError(f"{f} has negative {self.param}-adic valuation; not in {self}")
+        return _finish(self, k, 0, n, d)
 
     def from_laurent(self, p: LaurentPoly) -> "RingElem":
         return embed(p, self)
 
     def uniformizer(self) -> "RingElem":
+        if self.is_field:
+            raise RingError(f"{self.descriptor()} has no uniformizer")
+        return RingElem(self, 1, LP_ONE, LP_ONE)
+
+    @cached_property
+    def _pi(self) -> tuple[int, ...]:
+        """The uniformizer as a dense integer polynomial: sigma_l or (p,)."""
         if self.kind is RingKind.CYCLOTOMIC_LOCAL:
-            return RingElem(self, 1, LP_ONE, LP_ONE)
+            return cyclotomic_poly(self.param).c
         if self.kind is RingKind.INTEGER_LOCAL:
-            return _make_numeric(self, Fraction(self.param))
+            return (self.param,)
         raise RingError(f"{self.descriptor()} has no uniformizer")
 
     def q(self) -> "RingElem":
@@ -431,27 +440,28 @@ class RingElem:
     """Element of a ground ring in canonical form.
 
     Nonzero elements are pi**k * u with k >= 0 (k = 0 over a field) and u a
-    unit.  For the Laurent kinds the unit is a reduced fraction num/den of
+    unit, for every kind.  The unit is a reduced fraction num/den of
     integer-coefficient Laurent polynomials: den has minimal exponent 0 and a
     positive lowest coefficient, the contents of num and den are coprime, and
-    the uniformizer divides neither.  For the numeric kinds the unit is a
-    plain Fraction with numerator and denominator coprime to p.
+    the uniformizer pi (sigma_l or p) divides neither.  Over ``int:p`` and
+    ``rational`` num and den are constants, v**0 * a and b, and den is
+    ``LP_ONE`` when b = 1.
 
-    Laurent-kind arithmetic works on the integer coefficient lists of num and
-    den and keeps each result canonical with the least work the valuation
-    allows: a product of two elements with den 1 is one polynomial product;
-    other products and quotients cancel gcd(n1, d2) and gcd(n2, d1) (resp.
+    Arithmetic works on the integer coefficient lists of num and den and
+    keeps each result canonical with the least work the valuation allows: a
+    product of two elements with den 1 is one polynomial product; other
+    products and quotients cancel gcd(n1, d2) and gcd(n2, d1) (resp.
     gcd(n1, n2) and gcd(d1, d2)) as ``fractions.Fraction`` does, and never
-    look for sigma_l, which is prime and divides no canonical num or den; a
-    sum with k1 != k2 has valuation min(k1, k2) exactly, so only a sum with
-    k1 == k2 divides out sigma_l.
+    look for pi, which is prime and divides no canonical num or den; a sum
+    with k1 != k2 has valuation min(k1, k2) exactly, so only a sum with
+    k1 == k2 divides out pi.
 
     The zero element is flagged by ``num is None``.
     """
 
     ring: GroundRing
     k: int
-    num: LaurentPoly | Fraction | None
+    num: LaurentPoly | None
     den: LaurentPoly | None
 
     # -- predicates ------------------------------------------------------
@@ -474,17 +484,12 @@ class RingElem:
             return other
         if other.num is None:
             return self
-        ring = self.ring
-        if not ring.is_laurent:
-            return _make_numeric(ring, self._q_value() + other._q_value())
-        return _laurent_add(ring, self, other)
+        return _laurent_add(self.ring, self, other)
 
     def __neg__(self) -> "RingElem":
         if self.is_zero():
             return self
-        if self.ring.is_laurent:
-            return RingElem(self.ring, self.k, -self.num, self.den)
-        return RingElem(self.ring, self.k, -self.num, None)
+        return RingElem(self.ring, self.k, -self.num, self.den)
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
@@ -493,10 +498,7 @@ class RingElem:
         self._check_ring(other)
         if self.num is None or other.num is None:
             return self.ring.zero()
-        ring = self.ring
-        if not ring.is_laurent:
-            return _make_numeric(ring, self._q_value() * other._q_value())
-        return _laurent_mul(ring, self, other)
+        return _laurent_mul(self.ring, self, other)
 
     def divide(self, other: "RingElem") -> "RingElem":
         """Exact division inside the ring; raises RingError when impossible."""
@@ -505,12 +507,9 @@ class RingElem:
             raise ZeroDivisionError("division by zero")
         if self.is_zero():
             return self
-        ring = self.ring
         if self.k < other.k:
             raise RingError("quotient has negative valuation; not in the ring")
-        if not ring.is_laurent:
-            return _make_numeric(ring, self._q_value() / other._q_value())
-        return _laurent_div(ring, self, other)
+        return _laurent_div(self.ring, self, other)
 
     __truediv__ = divide
 
@@ -527,14 +526,6 @@ class RingElem:
             out = out * self
         return out
 
-    def _q_value(self) -> Fraction:
-        """The rational value pi**k * u for the numeric kinds."""
-        if self.is_zero():
-            return Fraction(0)
-        if self.ring.kind is RingKind.INTEGER_LOCAL:
-            return self.num * Fraction(self.ring.param) ** self.k
-        return self.num
-
     # -- valuation and residue -------------------------------------------
 
     def valuation(self) -> int | float:
@@ -550,34 +541,12 @@ class RingElem:
 
 
 @lru_cache(maxsize=None)
-def _sigma_pow(l: int, m: int) -> tuple[int, ...]:
-    """sigma_l**m as a dense coefficient tuple."""
-    sigma = cyclotomic_poly(l).c
+def _pi_pow(pi: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """pi**m as a dense coefficient tuple, for pi = ``GroundRing._pi``."""
     out = [1]
     for _ in range(m):
-        out = zpoly.mul(out, sigma)
+        out = zpoly.mul(out, pi)
     return tuple(out)
-
-
-def _make_numeric(ring: GroundRing, f: Fraction) -> RingElem:
-    if not f:
-        return ring.zero()
-    if ring.kind is RingKind.RATIONAL_FIELD:
-        return RingElem(ring, 0, f, None)
-    p = ring.param
-    k = 0
-    num, den = f.numerator, f.denominator
-    while num % p == 0:
-        num //= p
-        k += 1
-    kd = 0
-    while den % p == 0:
-        den //= p
-        kd += 1
-    k -= kd
-    if k < 0:
-        raise RingError(f"{f} has negative {p}-adic valuation; not in {ring}")
-    return RingElem(ring, k, Fraction(num, den), None)
 
 
 def _finish(ring: GroundRing, k: int, shift: int, n, d) -> RingElem:
@@ -596,20 +565,25 @@ def _finish(ring: GroundRing, k: int, shift: int, n, d) -> RingElem:
     return RingElem(ring, k, LaurentPoly(shift, tuple(n)), den)
 
 
-def _sigma_divides(a, l: int) -> bool:
-    """Whether sigma_l divides the polynomial a.
+def _pi_divides(ring: GroundRing, a) -> bool:
+    """Whether the uniformizer of the DVR ``ring`` divides the polynomial a.
 
-    sigma_l divides v**l - 1, so a is congruent to its fold modulo v**l - 1
-    (l sums of slices, at C speed): only the short fold is divided.
+    p divides a when it divides every coefficient.  sigma_l divides
+    v**l - 1, so a is congruent to its fold modulo v**l - 1 (l sums of
+    slices, at C speed): only the short fold is divided.
     """
+    pi = ring._pi
+    if len(pi) == 1:
+        return math.gcd(*a) % pi[0] == 0
+    l = ring.param
     folded = [sum(a[i::l]) for i in range(l)]
-    return not any(folded) or zpoly.quo(folded, _sigma_pow(l, 1)) is not None
+    return not any(folded) or zpoly.quo(folded, pi) is not None
 
 
-def _strip_sigma(n, l: int, k: int):
-    """Move every factor sigma_l of n into the exponent k."""
-    while _sigma_divides(n, l):
-        n, k = zpoly.quo(n, _sigma_pow(l, 1)), k + 1
+def _strip_pi(ring: GroundRing, n, k: int):
+    """Move every factor pi of the nonzero n into the exponent k."""
+    while _pi_divides(ring, n):
+        n, k = zpoly.quo(n, ring._pi), k + 1
     return n, k
 
 
@@ -630,19 +604,19 @@ def _make_laurent(ring: GroundRing, num: LaurentPoly, den: LaurentPoly) -> RingE
         d = [c.numerator * (m // c.denominator) for c in map(Fraction, d)]
     n, d = zpoly.cancel(n, d)
     k = 0
-    if ring.kind is RingKind.CYCLOTOMIC_LOCAL:
-        n, k = _strip_sigma(n, ring.param, 0)
-        if _sigma_divides(d, ring.param):
+    if ring.is_dvr:
+        n, k = _strip_pi(ring, n, 0)
+        if _pi_divides(ring, d):
             raise RingError(f"denominator divisible by the uniformizer; not in {ring}")
     return _finish(ring, k, num.shift - den.shift, n, d)
 
 
 def _laurent_add(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
-    """x + y for nonzero x, y.
+    """x + y for nonzero x, y, in any kind.
 
     With k1 != k2 the sum has valuation exactly min(k1, k2): one summand is
     a unit times pi**min and the other a multiple of pi**(min + 1), so
-    nothing is stripped.  Only k1 == k2 can cancel into sigma_l.  The
+    nothing is stripped.  Only k1 == k2 can cancel into pi.  The
     denominators follow Knuth's rule, as ``fractions.Fraction`` does: with
     g = gcd(d1, d2) the sum is t / (d1 d2 / g) with t = n1 d2/g + n2 d1/g,
     and only gcd(t, g) can still cancel.
@@ -651,11 +625,11 @@ def _laurent_add(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
     s2, n2 = y.num.shift, y.num.c
     k = min(x.k, y.k)
     if x.k != y.k:
-        sigma_m = _sigma_pow(ring.param, abs(x.k - y.k))
+        pi_m = _pi_pow(ring._pi, abs(x.k - y.k))
         if x.k < y.k:
-            n2 = zpoly.mul(n2, sigma_m)
+            n2 = zpoly.mul(n2, pi_m)
         else:
-            n1 = zpoly.mul(n1, sigma_m)
+            n1 = zpoly.mul(n1, pi_m)
     d1, d2 = x.den.c, y.den.c
     if d1 == d2 == (1,):
         shift, t = zpoly.add(s1, n1, s2, n2)
@@ -669,16 +643,16 @@ def _laurent_add(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
         d = zpoly.mul(zpoly.mul(d1, d2), g)
     if not t:
         return ring.zero()
-    if x.k == y.k and ring.kind is RingKind.CYCLOTOMIC_LOCAL:
-        t, k = _strip_sigma(t, ring.param, k)
+    if x.k == y.k and ring.is_dvr:
+        t, k = _strip_pi(ring, t, k)
     return _finish(ring, k, shift, t, d)
 
 
 def _laurent_mul(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
-    """x * y for nonzero x, y.
+    """x * y for nonzero x, y, in any kind.
 
-    sigma_l is prime in Q[v], so a product of numerators prime to it stays
-    prime to it: no stripping and no denominator check.  With both
+    pi is prime (sigma_l in Q[v], p in Z), so a product of numerators prime
+    to it stays prime to it: no stripping and no denominator check.  With both
     denominators 1 the product n1 n2 is already canonical (Gauss's lemma
     keeps its content, the denominator keeps content 1).  Otherwise Henrici's
     cross-cancellation by gcd(n1, d2) and gcd(n2, d1) leaves a reduced
@@ -696,7 +670,7 @@ def _laurent_mul(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
 def _laurent_div(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
     """x / y for nonzero x, y with x.k >= y.k: (n1 d2) / (d1 n2) after
     Henrici's cancellation by gcd(n1, n2) and gcd(d1, d2); as for products,
-    no factor sigma_l can appear."""
+    no factor pi can appear."""
     n1, n2 = zpoly.cancel(x.num.c, y.num.c)
     d1, d2 = zpoly.cancel(x.den.c, y.den.c)
     shift = x.num.shift - y.num.shift
@@ -711,7 +685,7 @@ def embed(p: LaurentPoly, ring: GroundRing) -> RingElem:
     """
     if ring.is_laurent:
         return _make_laurent(ring, p, LP_ONE)
-    return _make_numeric(ring, p.eval_one())
+    return ring.from_fraction(p.eval_one())
 
 
 def valuation(x: RingElem) -> int | float:
@@ -726,11 +700,9 @@ def to_fraction_field(x: RingElem) -> RingElem:
         return x
     if x.is_zero():
         return fk.zero()
-    if ring.kind is RingKind.CYCLOTOMIC_LOCAL:
-        # sigma_l**k is primitive and prime to the denominator: still reduced.
-        n = zpoly.mul(x.num.c, _sigma_pow(ring.param, x.k))
-        return _finish(fk, 0, x.num.shift, n, x.den.c)
-    return _make_numeric(fk, x._q_value())
+    # pi**k is prime to the denominator: the fraction stays reduced.
+    n = zpoly.mul(x.num.c, _pi_pow(ring._pi, x.k))
+    return _finish(fk, 0, x.num.shift, n, x.den.c)
 
 
 # ---------------------------------------------------------------------------
@@ -859,8 +831,7 @@ def residue(x: RingElem) -> ResidueElem:
         p = ring.param
         if x.is_zero() or x.k > 0:
             return ResidueElem(("fp", p), 0)
-        u: Fraction = x.num
-        val = u.numerator * pow(u.denominator, -1, p) % p
+        val = x.num.c[0] * pow(x.den.c[0], -1, p) % p
         return ResidueElem(("fp", p), val)
     l = ring.param
     deg = len(cyclotomic_poly(l).c) - 1
@@ -918,18 +889,26 @@ def format_laurent(p: LaurentPoly) -> str:
 
 
 def _unit_str(x: RingElem) -> str:
-    if not x.ring.is_laurent:
-        return str(x.num)
     ns = format_laurent(x.num)
-    if x.den == LP_ONE:
+    if x.den.c == (1,):
         return ns
-    return f"({ns})/({format_laurent(x.den)})"
+    if x.ring.is_laurent:
+        return f"({ns})/({format_laurent(x.den)})"
+    return f"{ns}/{x.den.c[0]}"
 
 
 def format_elem(x: RingElem) -> str:
+    """The textual form of x; RingError when a coefficient has more digits
+    than str() converts, which is also the most ``parse_elem`` reads."""
     if x.is_zero():
         return "0"
-    unit = _unit_str(x)
+    try:
+        unit = _unit_str(x)
+    except ValueError:
+        raise RingError(
+            f"a coefficient exceeds {sys.get_int_max_str_digits()} decimal digits, "
+            "the limit of the element format"
+        ) from None
     if x.k == 0:
         return unit
     if re.search(r"[+*/]", unit) or "-" in unit[1:]:

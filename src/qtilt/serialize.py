@@ -202,8 +202,15 @@ def dump_xobject(M: XObject) -> str:
     return dumps(xobject_to_dict(M))
 
 
+def _loads(text: str) -> object:
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SerializeError("JSON nested too deeply") from None
+
+
 def load_xobject(text: str) -> XObject:
-    return xobject_from_dict(json.loads(text))
+    return xobject_from_dict(_loads(text))
 
 
 def dump_form(M: XObject, b: dict[Weight, Mat]) -> str:
@@ -211,4 +218,4 @@ def dump_form(M: XObject, b: dict[Weight, Mat]) -> str:
 
 
 def load_form(text: str, M: XObject) -> dict[Weight, Mat]:
-    return form_from_dict(json.loads(text), M)
+    return form_from_dict(_loads(text), M)

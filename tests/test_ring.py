@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -504,6 +505,111 @@ def test_parse_rejects_denominator_divisible_by_sigma(cyc3):
 
 
 # ---------------------------------------------------------------------------
+# the numeric kinds: int:p and rational against Fraction and the p-adic
+# valuation
+
+_NUMERIC_RINGS = [integer_local(2), integer_local(3), integer_local(5), rational_field()]
+
+
+def numeric_canonical(ring, f):
+    """(k, num coefficients, den coefficients) of the canonical form of the
+    nonzero rational f over ``int:p`` or ``rational``, or None when f is not
+    in the ring: k is the p-adic valuation of f, and f / p**k in lowest
+    terms gives the constant num and the positive den."""
+    k = 0
+    if not ring.is_field:
+        p, n, d = ring.param, f.numerator, f.denominator
+        while n % p == 0:
+            n, k = n // p, k + 1
+        while d % p == 0:
+            d, k = d // p, k - 1
+        if k < 0:
+            return None
+    u = f / Fraction(ring.param or 1) ** k
+    return k, (u.numerator,), (u.denominator,)
+
+
+def assert_numeric(x, f):
+    if not f:
+        assert x.is_zero()
+        return
+    assert isinstance(x.num, LaurentPoly) and isinstance(x.den, LaurentPoly)
+    assert x.num.shift == x.den.shift == 0
+    assert (x.k, x.num.c, x.den.c) == numeric_canonical(x.ring, f)
+
+
+@st.composite
+def numeric_values(draw, ring):
+    """A nonzero rational p**a * n / d whose n and d often carry p."""
+    p = ring.param or 2
+    n = draw(st.integers(-40, 40).filter(bool)) * p ** draw(st.integers(0, 2))
+    d = draw(st.integers(1, 40)) * p ** draw(st.integers(0, 1))
+    return Fraction(n, d) * p ** draw(st.integers(0, 3))
+
+
+@st.composite
+def numeric_pairs(draw):
+    """A numeric ring and two values; often the second has the valuation
+    of the first and their sum cancels into a higher power of p."""
+    ring = draw(st.sampled_from(_NUMERIC_RINGS))
+    fx, fy = draw(numeric_values(ring)), draw(numeric_values(ring))
+    if draw(st.booleans()):
+        fy = -fx + fy * (ring.param or 2) ** draw(st.integers(1, 3))
+    return ring, fx, fy
+
+
+@settings(max_examples=300, deadline=None)
+@given(numeric_pairs())
+def test_numeric_canonical_form_matches_fraction(case):
+    ring, fx, fy = case
+    xs = []
+    for f in (fx, fy):
+        if not f:
+            assert ring.from_fraction(f).is_zero()
+        elif numeric_canonical(ring, f) is None:
+            with pytest.raises(RingError):
+                ring.from_fraction(f)
+        else:
+            xs.append(ring.from_fraction(f))
+            assert_numeric(xs[-1], f)
+    assume(len(xs) == 2 and fy)
+    x, y = xs
+    assert_numeric(x + y, fx + fy)
+    assert_numeric(x - y, fx - fy)
+    assert_numeric(-x, -fx)
+    assert_numeric(x * y, fx * fy)
+    if x.k >= y.k:
+        assert_numeric(x.divide(y), fx / fy)
+    else:
+        with pytest.raises(RingError):
+            x.divide(y)
+    fk = to_fraction_field(x)
+    assert fk.ring == rational_field()
+    assert (fk.k, fk.num.c, fk.den.c) == (0, (fx.numerator,), (fx.denominator,))
+    if not ring.is_field:
+        p = ring.param
+        want = 0 if x.k else fx.numerator * pow(fx.denominator, -1, p) % p
+        assert residue(x).value == want
+    for z, f in ((x, fx), (x + y, fx + fy)):
+        text = format_elem(z)
+        assert parse_elem(text, ring) == z
+        if z.k == 0:
+            # a unit prints as the Fraction it is
+            assert text == str(f)
+
+
+def test_numeric_equal_valuation_sum_cancels_into_p(int3):
+    # 3 * 1/2 + 3 * 1/4 = 9/4, so the sum gains a factor 3
+    x, y = int3.from_fraction(Fraction(3, 2)), int3.from_fraction(Fraction(3, 4))
+    assert x.k == y.k == 1
+    z = x + y
+    assert (z.k, z.num.c, z.den.c) == (2, (1,), (4,))
+    assert str(z) == "3^2 * (1/4)"
+    assert int3.uniformizer() == int3.from_int(3)
+    assert (int3.uniformizer().num, int3.uniformizer().den) == (LP_ONE, LP_ONE)
+
+
+# ---------------------------------------------------------------------------
 # LaurentPoly: dense storage against sympy
 
 
@@ -594,6 +700,22 @@ def test_parse_refuses_a_huge_degree_span(gf):
     with pytest.raises(RingError):
         parse_elem("v^100000000+1", gf)
     assert str(parse_elem("v^100000000", gf)) == "v^100000000"
+
+
+def test_format_refuses_more_digits_than_the_parser_reads(gf, int3):
+    limit = sys.get_int_max_str_digits()
+    big = 10**limit  # limit + 1 digits, prime to 3
+    for ring in (gf, int3):
+        for x in (ring.from_int(big), ring.from_fraction(Fraction(7, big)),
+                  ring.from_int(big) * ring.from_int(3)):
+            with pytest.raises(RingError, match=str(limit)):
+                format_elem(x)
+        with pytest.raises(RingError):
+            parse_elem("1" + "0" * limit, ring)
+        # a coefficient of exactly limit digits still prints and re-parses
+        for x in (ring.from_int(-(big - 2)), ring.from_fraction(Fraction(1, big - 2))):
+            text = format_elem(x)
+            assert parse_elem(text, ring) == x
 
 
 _FORMAT_ALPHABET = "0123456789-+*/^()vs "

@@ -1,12 +1,14 @@
 import json
 import os
+import sys
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 from qtilt.cli import main
 from qtilt.forms import build_smax_with_form
-from qtilt.ring import RingError
+from qtilt.ring import RingError, parse_ring
 from qtilt.serialize import (
     SerializeError,
     dump_form,
@@ -218,6 +220,75 @@ def test_malformed_files_exit_2(runner, tmp_path, golden, corrupt, error):
         assert res.exit_code == 2, res.output
         assert "error:" in res.output
         assert isinstance(res.exception, SystemExit)
+
+
+_DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def _deep_json(path):
+    path.write_text(_DEEP_JSON)
+
+
+def _not_utf8(path):
+    path.write_bytes(b'{"format": "qtilt-object\xff"}')
+
+
+def _directory(path):
+    path.mkdir()
+
+
+@pytest.mark.parametrize("make_bad", [
+    pytest.param(_deep_json, id="deep_json"),
+    pytest.param(_not_utf8, id="not_utf8"),
+    pytest.param(_directory, id="directory"),
+])
+def test_unreadable_files_exit_2(runner, tmp_path, make_bad):
+    good = tmp_path / "obj.json"
+    good.write_text(json.dumps(_golden_dict(_CYC3_OBJ)))
+    bad = tmp_path / "bad.json"
+    make_bad(bad)
+    for args in (["check", str(bad)], ["form-check", str(good), str(bad)],
+                 ["hom-extend", str(good), str(bad)]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output
+        assert isinstance(res.exception, SystemExit)
+
+
+def test_deep_json_is_a_serialize_error():
+    M = load_xobject(json.dumps(_golden_dict(_CYC3_OBJ)))
+    with pytest.raises(SerializeError):
+        load_xobject(_DEEP_JSON)
+    with pytest.raises(SerializeError):
+        load_form(_DEEP_JSON, M)
+
+
+def test_build_out_directory_exit_2(runner, tmp_path):
+    res = runner.invoke(main, ["build", "--kind", "smin", "--root", "A1", "--ring", "cyc:3",
+                               "--weight", "1", "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_build_of_an_unprintable_object_exits_2(runner, tmp_path, monkeypatch):
+    # A coefficient longer than the element format allows is refused when
+    # the object is written, with exit 2 and no traceback.
+    from qtilt import xcat
+
+    build_smin = xcat.build_smin
+    huge = parse_ring("int:3").from_int(10**sys.get_int_max_str_digits())
+
+    def build_huge(*args, **kwargs):
+        M = build_smin(*args, **kwargs)
+        return replace(M, eops={key: m.scale(huge) for key, m in M.eops.items()})
+
+    monkeypatch.setattr(xcat, "build_smin", build_huge)
+    res = runner.invoke(main, ["build", "--kind", "smin", "--root", "A1", "--ring", "int:3",
+                               "--weight", "2", "--out", str(tmp_path / "obj.json")])
+    assert res.exit_code == 2, res.output
+    assert "digits" in res.output
+    assert isinstance(res.exception, SystemExit)
 
 
 def test_internal_key_error_is_not_a_usage_error(runner, tmp_path, monkeypatch):

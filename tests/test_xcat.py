@@ -230,6 +230,50 @@ def test_build_smax_sl2_tilting_character(a1, cyc3):
     assert character(T) == {(3,): 1, (1,): 2, (-1,): 2, (-3,): 1}
 
 
+def _weyl_sl2(n):
+    return {w: 1 for w in range(-n, n + 1, 2)}
+
+
+def _donkin_tilting_sl2(p, lam):
+    """The character {weight: multiplicity} of the SL2 tilting module T(lam)
+    in characteristic p, from the weights alone: T(lam) = Delta(lam) for
+    lam <= p-1, Delta(lam) + Delta(2p-2-lam) for p <= lam <= 2p-2, and above
+    that Donkin's tensor product theorem
+    T(p-1+r+pm) = T(p-1+r) (x) T(m)^[1] for 0 <= r <= p-1, where the
+    Frobenius twist ^[1] multiplies every weight by p."""
+    if lam <= p - 1:
+        return _weyl_sl2(lam)
+    if lam <= 2 * p - 2:
+        out = _weyl_sl2(lam)
+        for w in _weyl_sl2(2 * p - 2 - lam):
+            out[w] += 1
+        return out
+    m, r = divmod(lam - (p - 1), p)
+    out = {}
+    for a, x in _donkin_tilting_sl2(p, p - 1 + r).items():
+        for b, y in _donkin_tilting_sl2(p, m).items():
+            out[a + p * b] = out.get(a + p * b, 0) + x * y
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_build_smax_int_p_matches_donkin_oracle(a1, p):
+    ring = parse_ring(f"int:{p}")
+    for lam in range(16):
+        want = {(w,): m for w, m in _donkin_tilting_sl2(p, lam).items()}
+        assert character(build_smax(a1, ring, (lam,))) == want, (p, lam)
+
+
+def test_donkin_oracle_known_values():
+    # Steinberg modules T(p**n - 1) = Delta(p**n - 1)
+    for p, lam in ((2, 3), (2, 7), (3, 8), (5, 24)):
+        assert _donkin_tilting_sl2(p, lam) == _weyl_sl2(lam)
+    # T(4) in characteristic 3 is Delta(4) + Delta(0)
+    assert _donkin_tilting_sl2(3, 4) == {4: 1, 2: 1, 0: 2, -2: 1, -4: 1}
+    # T(5) in characteristic 2: T(1) (x) T(2)^[1] with T(2) = Delta(2) + Delta(0)
+    assert _donkin_tilting_sl2(2, 5) == {5: 1, 3: 1, 1: 2, -1: 2, -3: 1, -5: 1}
+
+
 @pytest.mark.parametrize("label,lam", [
     ("A3", (1, 0, 0)),
     ("B3", (1, 0, 0)),
