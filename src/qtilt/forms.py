@@ -84,7 +84,7 @@ def check_form(M: XObject, b: GradedForm) -> Report:
         rep.add("form-contravariant", None, True)
     for mu in sorted(M.spaces):
         g = _gram(b, M, mu)
-        snf = linalg.smith_normal_form(g)
+        snf = linalg.smith_normal_form(g, track=())
         nondeg = snf.rank == g.rows and not any(snf.exponents)
         rep.add("form-nondegenerate", mu, nondeg,
                 f"radical rank {g.cols - snf.rank}" if not nondeg else None)
@@ -132,7 +132,7 @@ def complete_nondegenerate(
     Mt = minimal_extend(M, mu)
     bt = extend_form_minimal(Mt, b, mu)
     g = bt[mu]
-    snf = linalg.smith_normal_form(g)
+    snf = linalg.smith_normal_form(g, track=("Vinv",))
     if snf.rank == g.rows and not any(snf.exponents):
         return Mt, bt
     if M.ring.is_field:

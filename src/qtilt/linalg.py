@@ -8,6 +8,18 @@ transformation matrices, so identical inputs produce bit-identical outputs.
 
 Pivot rule: among the entries of minimal valuation pick the lexicographically
 smallest (row, col).
+
+``smith_normal_form(M, track=...)`` updates only the transforms named in
+``track``, a subset of U, Uinv, V and Vinv (all four by default); the others
+come back None, and the pivots and exponents are the same either way.  Each
+derived operation tracks what it reads:
+
+* none: ``rank``, ``is_unit_matrix``, ``det_valuation``, and the SNF of the
+  coordinates in ``relative_invariants``;
+* V: ``kernel_saturated``;
+* Uinv: ``saturation_with_invariants``, ``free_complement``;
+* U: ``relative_invariants`` (the SNF of ``sup``);
+* U and V: ``solve_in_span``, ``inverse_unit``.
 """
 
 from __future__ import annotations
@@ -166,18 +178,23 @@ def vstack(mats: Sequence[Mat]) -> Mat:
 # ---------------------------------------------------------------------------
 
 
+TRANSFORMS = ("U", "Uinv", "V", "Vinv")
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ M @ V = diag(pi**e for e in exponents), padded by zero rows/cols.
 
-    U and V (and their tracked inverses) have unit determinant valuation and
-    the exponents are weakly increasing; over a field all exponents are zero.
+    U and V (and their inverses) have unit determinant valuation and the
+    exponents are weakly increasing; over a field all exponents are zero.
+    A transform the caller did not ask to track is None.
     """
 
-    U: Mat
-    Uinv: Mat
-    V: Mat
-    Vinv: Mat
+    ring: GroundRing
+    U: Mat | None
+    Uinv: Mat | None
+    V: Mat | None
+    Vinv: Mat | None
     exponents: tuple[int, ...]
 
     @property
@@ -185,108 +202,138 @@ class SmithDecomposition:
         return len(self.exponents)
 
     def diagonal(self, rows: int, cols: int) -> Mat:
-        ring = self.U.ring
+        ring = self.ring
         d = Mat.zero(ring, rows, cols).to_lists()
-        if self.exponents:
-            pi = ring.uniformizer() if ring.is_dvr else ring.one()
-            for t, e in enumerate(self.exponents):
-                d[t][t] = pi ** e if ring.is_dvr else ring.one()
+        for t, e in enumerate(self.exponents):
+            d[t][t] = ring.uniformizer() ** e if ring.is_dvr else ring.one()
         return Mat.from_rows(ring, d, cols=cols)
 
 
-def smith_normal_form(M: Mat) -> SmithDecomposition:
+def smith_normal_form(M: Mat, *, track: Iterable[str] = TRANSFORMS) -> SmithDecomposition:
+    """SNF of M, updating only the transforms named in ``track``.
+
+    The pivots and exponents do not depend on ``track``; a tracked transform
+    equals the one the full decomposition gives, an untracked one is None.
+    """
+    track = frozenset(track)
+    if not track <= set(TRANSFORMS):
+        raise LinAlgError(f"unknown transforms {sorted(track - set(TRANSFORMS))}")
     ring = M.ring
     a = M.to_lists()
     m, n = M.rows, M.cols
-    u = Mat.identity(ring, m).to_lists()
-    uinv = Mat.identity(ring, m).to_lists()
-    v = Mat.identity(ring, n).to_lists()
-    vinv = Mat.identity(ring, n).to_lists()
+    zero, one = ring.zero(), ring.one()
 
-    def row_op(i, t, c):
-        # R_i += c * R_t on the working matrix and U; inverse op on Uinv.
-        for j in range(n):
-            a[i][j] = a[i][j] + c * a[t][j]
-        for j in range(m):
-            u[i][j] = u[i][j] + c * u[t][j]
-        for j in range(m):
-            uinv[j][t] = uinv[j][t] - c * uinv[j][i]
+    def eye(k: int, name: str) -> list[list[RingElem]] | None:
+        if name not in track:
+            return None
+        return [[one if i == j else zero for j in range(k)] for i in range(k)]
 
-    def col_op(j, t, c):
-        for i in range(m):
-            a[i][j] = a[i][j] + c * a[i][t]
-        for i in range(n):
-            v[i][j] = v[i][j] + c * v[i][t]
-        for i in range(n):
-            vinv[t][i] = vinv[t][i] - c * vinv[j][i]
+    u, uinv, v, vinv = eye(m, "U"), eye(m, "Uinv"), eye(n, "V"), eye(n, "Vinv")
 
-    def row_swap(i, t):
-        a[i], a[t] = a[t], a[i]
-        u[i], u[t] = u[t], u[i]
-        for j in range(m):
-            uinv[j][i], uinv[j][t] = uinv[j][t], uinv[j][i]
+    # Companion updates; an untracked companion is None, and zero source
+    # entries are skipped.
+    def add_row(x, dst: int, src: int, c: RingElem) -> None:
+        if x is not None:
+            xd = x[dst]
+            for j, s in enumerate(x[src]):
+                if not s.is_zero():
+                    xd[j] = xd[j] + c * s
 
-    def col_swap(j, t):
-        for i in range(m):
-            a[i][j], a[i][t] = a[i][t], a[i][j]
-        for i in range(n):
-            v[i][j], v[i][t] = v[i][t], v[i][j]
-        vinv[j], vinv[t] = vinv[t], vinv[j]
+    def add_col(x, dst: int, src: int, c: RingElem) -> None:
+        if x is not None:
+            for r in x:
+                if not r[src].is_zero():
+                    r[dst] = r[dst] + c * r[src]
+
+    def swap_rows(x, i: int, j: int) -> None:
+        if x is not None:
+            x[i], x[j] = x[j], x[i]
+
+    def swap_cols(x, i: int, j: int) -> None:
+        if x is not None:
+            for r in x:
+                r[i], r[j] = r[j], r[i]
 
     exps: list[int] = []
     t = 0
     while t < min(m, n):
-        pivot = None
-        pval = None
+        # Row-major scan; a valuation-0 entry is the smallest possible, so the
+        # first one found is the lexicographically smallest of minimal valuation.
+        pivot, pval = None, math.inf
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                e = a[i][j]
-                if e.is_zero():
-                    continue
-                val = e.valuation()
-                if pval is None or val < pval:
+                val = row[j].valuation()  # infinite for zero
+                if val < pval:
                     pivot, pval = (i, j), val
+                    if val == 0:
+                        break
+            if pval == 0:
+                break
         if pivot is None:
             break
         pi, pj = pivot
         if pi != t:
-            row_swap(pi, t)
+            swap_rows(a, pi, t)
+            swap_rows(u, pi, t)
+            swap_cols(uinv, pi, t)
         if pj != t:
-            col_swap(pj, t)
-        piv = a[t][t]
+            swap_cols(a, pj, t)
+            swap_cols(v, pj, t)
+            swap_rows(vinv, pj, t)
+        at = a[t]
+        piv = at[t]
+        # R_i += c * R_t (inverse C_t -= c * C_i on Uinv): columns < t of row t
+        # are zero and column t of row i becomes zero, so only the columns > t
+        # of the working matrix change.
         for i in range(t + 1, m):
-            if not a[i][t].is_zero():
-                row_op(i, t, -(a[i][t].divide(piv)))
+            ai = a[i]
+            if ai[t].is_zero():
+                continue
+            c = -(ai[t].divide(piv))
+            ai[t] = zero
+            for j in range(t + 1, n):
+                if not at[j].is_zero():
+                    ai[j] = ai[j] + c * at[j]
+            add_row(u, i, t, c)
+            add_col(uinv, t, i, -c)
+        # C_j += c * C_t (inverse R_t -= c * R_j on Vinv): column t is clear
+        # below the pivot, so only the entry in row t changes, to zero.
         for j in range(t + 1, n):
-            if not a[t][j].is_zero():
-                col_op(j, t, -(a[t][j].divide(piv)))
+            if at[j].is_zero():
+                continue
+            c = -(at[j].divide(piv))
+            at[j] = zero
+            add_col(v, j, t, c)
+            add_row(vinv, t, j, -c)
         exps.append(pval if ring.is_dvr else 0)
         t += 1
 
-    # Normalize the diagonal to pure uniformizer powers (1 over a field).
-    for t, e in enumerate(exps):
-        target = (M.ring.uniformizer() ** e) if ring.is_dvr else ring.one()
-        unit = a[t][t].divide(target)
-        c = unit.inverse()
-        for j in range(n):
-            a[t][j] = a[t][j] * c
-        for j in range(m):
-            u[t][j] = u[t][j] * c
-        for j in range(m):
-            uinv[j][t] = uinv[j][t] * unit
+    # Normalize the diagonal to pure uniformizer powers (1 over a field):
+    # row t of U is divided by the diagonal unit, column t of Uinv multiplied.
+    if u is not None or uinv is not None:
+        for t, e in enumerate(exps):
+            unit = a[t][t].divide(ring.uniformizer() ** e) if e else a[t][t]
+            if u is not None:
+                c = unit.inverse()
+                u[t] = [x if x.is_zero() else x * c for x in u[t]]
+            if uinv is not None:
+                for r in uinv:
+                    if not r[t].is_zero():
+                        r[t] = r[t] * unit
+
+    def mat(rows: list[list[RingElem]] | None, k: int) -> Mat | None:
+        return None if rows is None else Mat(ring, k, k, tuple(map(tuple, rows)))
 
     return SmithDecomposition(
-        U=Mat.from_rows(ring, u, cols=m),
-        Uinv=Mat.from_rows(ring, uinv, cols=m),
-        V=Mat.from_rows(ring, v, cols=n),
-        Vinv=Mat.from_rows(ring, vinv, cols=n),
+        ring=ring, U=mat(u, m), Uinv=mat(uinv, m), V=mat(v, n), Vinv=mat(vinv, n),
         exponents=tuple(exps),
     )
 
 
 def rank(M: Mat) -> int:
     """Rank of M over the fraction field."""
-    return smith_normal_form(M).rank
+    return smith_normal_form(M, track=()).rank
 
 
 def kernel_saturated(M: Mat) -> Mat:
@@ -295,7 +342,7 @@ def kernel_saturated(M: Mat) -> Mat:
     Over a domain the kernel of a matrix inside a free module is saturated,
     so the quotient by it is torsion free; over a DVR that quotient is free.
     """
-    snf = smith_normal_form(M)
+    snf = smith_normal_form(M, track=("V",))
     return snf.V.take_cols(range(snf.rank, M.cols))
 
 
@@ -308,7 +355,7 @@ def saturation_with_invariants(G: Mat) -> tuple[Mat, tuple[int, ...]]:
     returned exponents (zero exponents are omitted, so the tuple is empty
     exactly when span(G) is already saturated).
     """
-    snf = smith_normal_form(G)
+    snf = smith_normal_form(G, track=("Uinv",))
     S = snf.Uinv.take_cols(range(snf.rank))
     return S, tuple(e for e in snf.exponents if e > 0)
 
@@ -345,7 +392,7 @@ def solve_in_span(G: Mat, B: Mat) -> Mat | None:
     """
     if B.rows != G.rows:
         raise LinAlgError("right-hand side must have the height of G")
-    snf = smith_normal_form(G)
+    snf = smith_normal_form(G, track=("U", "V"))
     z = _diagonal_solve(snf, B)
     if z is None:
         return None
@@ -358,7 +405,7 @@ def free_complement(G: Mat) -> Mat:
     Requires the quotient ambient/span(G) to be free, i.e. the saturation
     exponents of G must be empty.
     """
-    snf = smith_normal_form(G)
+    snf = smith_normal_form(G, track=("Uinv",))
     if any(e > 0 for e in snf.exponents):
         raise LinAlgError(
             "column span is not a direct summand (nonzero saturation exponents)"
@@ -377,11 +424,11 @@ def relative_invariants(sub: Mat, sup: Mat) -> tuple[int, ...]:
     """
     if sub.rows != sup.rows:
         raise LinAlgError("ambient rank mismatch")
-    snf = smith_normal_form(sup)
+    snf = smith_normal_form(sup, track=("U",))
     X = _diagonal_solve(snf, sub)
     if X is None:
         raise LinAlgError("sub is not contained in the span of sup")
-    snf_x = smith_normal_form(X)
+    snf_x = smith_normal_form(X, track=())
     if snf_x.rank < snf.rank:
         raise LinAlgError("fraction-field ranks differ")
     return tuple(e for e in snf_x.exponents if e > 0)
@@ -391,13 +438,13 @@ def is_unit_matrix(M: Mat) -> bool:
     """True when M is square and invertible over the ring."""
     if M.rows != M.cols:
         return False
-    snf = smith_normal_form(M)
+    snf = smith_normal_form(M, track=())
     return snf.rank == M.rows and all(e == 0 for e in snf.exponents)
 
 
 def inverse_unit(M: Mat) -> Mat:
     """Inverse of a matrix that is invertible over the ring."""
-    snf = smith_normal_form(M)
+    snf = smith_normal_form(M, track=("U", "V"))
     if snf.rank != M.rows or M.rows != M.cols or any(snf.exponents):
         raise LinAlgError("matrix is not invertible over the ring")
     return snf.V @ snf.U
@@ -407,7 +454,7 @@ def det_valuation(M: Mat) -> int | float:
     """Valuation of det(M): the sum of the SNF exponents, or infinity."""
     if M.rows != M.cols:
         raise LinAlgError("determinant of a non-square matrix")
-    snf = smith_normal_form(M)
+    snf = smith_normal_form(M, track=())
     if snf.rank < M.rows:
         return math.inf
     return sum(snf.exponents)

@@ -3,6 +3,11 @@ enumeration, and an independent Weyl-character oracle.
 
 Weights are plain integer tuples in fundamental-weight coordinates, so the
 pairing of a weight with a simple coroot is an O(1) coordinate read-off.
+Dominance is integer root-lattice arithmetic: with den the least positive
+integer making den * C^-1 integral (``RootSystem.lattice``), mu <= lam iff
+every entry of den * C^-1 (lam - mu) is nonnegative and divisible by den.
+Root coordinates, heights and the invariant form stay on ``Fraction``; they
+feed the Freudenthal oracle, which shares no code with dominance.
 
 Convention: ``cartan[i][j]`` is the pairing of the simple root alpha_j with
 the simple coroot of alpha_i, so the fundamental coordinates of alpha_j form
@@ -14,6 +19,7 @@ length of alpha_i, which is what the quantum binomial subscripts require.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -159,6 +165,23 @@ class RootSystem:
             for j in range(self.rank)
         )
 
+    @cached_property
+    def lattice(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, den * C^-1): the least positive den with den * C^-1 integral,
+        and that integer matrix, so den * root_coords(mu) is integral."""
+        den = math.lcm(*(c.denominator for row in self._inv_cartan for c in row))
+        return den, tuple(tuple(int(c * den) for c in row) for row in self._inv_cartan)
+
+    def lattice_coords(self, mu: Weight) -> tuple[int, ...]:
+        """den * root_coords(mu) as integers, with den = self.lattice[0]."""
+        return tuple(sum(c * m for c, m in zip(row, mu)) for row in self.lattice[1])
+
+    def lattice_leq(self, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+        """mu <= lam for x = lattice_coords(mu) and y = lattice_coords(lam):
+        every coordinate of y - x is nonnegative and divisible by den."""
+        den = self.lattice[0]
+        return all(b >= a and (b - a) % den == 0 for a, b in zip(x, y))
+
     def height(self, mu: Weight) -> Fraction:
         return sum(self.root_coords(mu), Fraction(0))
 
@@ -284,9 +307,7 @@ def dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
     """True iff lam - mu is a nonnegative integer combination of simple roots."""
     rs.check_weight(mu)
     rs.check_weight(lam)
-    diff = tuple(a - b for a, b in zip(lam, mu))
-    coords = rs.root_coords(diff)
-    return all(c.denominator == 1 and c >= 0 for c in coords)
+    return rs.lattice_leq(rs.lattice_coords(mu), rs.lattice_coords(lam))
 
 
 def weights_below(

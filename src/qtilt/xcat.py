@@ -305,21 +305,25 @@ def _extend(M: XObject, mu: Weight, saturate: bool) -> XObject:
 
     The new space is free on the first r = rank(ehat) columns of V: it
     raises by ehat @ V[:, :r] and lowers by Vinv[:r, :].  That raising image
-    equals Uinv[:, :r] @ diag(pi**e), so the columns Uinv[:, :r] are a basis
-    of its saturation, and the k columns with e > 0 span the saturation
-    modulo the image.  Saturating adjoins one generator per such column,
-    raising to it and lowering to zero.
+    equals Uinv[:, :r] @ diag(pi**e), which is how it is computed, so the
+    columns Uinv[:, :r] are a basis of its saturation, and the k columns with
+    e > 0 span the saturation modulo the image.  Saturating adjoins one
+    generator per such column, raising to it and lowering to zero.
     """
     M.rs.check_weight(mu)
     if mu in M.region:
         raise XCatError(f"weight {mu} already present")
     ehat, _, index = hat_matrices(M, mu)
-    snf = linalg.smith_normal_form(ehat)
+    snf = linalg.smith_normal_form(ehat, track=("Uinv", "Vinv"))
     r = snf.rank
     if r == 0:
         return replace(M, region=M.region | {mu})
-    k = sum(e > 0 for e in snf.exponents) if saturate else 0
-    return _store_blocks(M, mu, index, ehat @ snf.V.take_cols(range(r)),
+    scale = [M.ring.uniformizer() ** e if e else None for e in snf.exponents]
+    raised = Mat.from_rows(M.ring, [
+        [x if d is None else x * d for x, d in zip(row, scale)]
+        for row in snf.Uinv.entries], cols=r)
+    k = sum(d is not None for d in scale) if saturate else 0
+    return _store_blocks(M, mu, index, raised,
                          snf.Vinv.take_rows(range(r)), snf.Uinv.take_cols(range(r - k, r)))
 
 
@@ -489,12 +493,13 @@ def _x2_failures(M: XObject):
     rs = M.rs
     bound = 2 * M.max_op_index() + 2
     in_index: dict[Weight, bool] = {}
+    region = [rs.lattice_coords(w) for w in M.region]
 
     def index_member(mu: Weight) -> bool:
         hit = in_index.get(mu)
         if hit is None:
-            hit = mu in M.region or any(
-                dominance_leq(rs, w, mu) for w in M.region)
+            y = rs.lattice_coords(mu)
+            hit = mu in M.region or any(rs.lattice_leq(x, y) for x in region)
             in_index[mu] = hit
         return hit
 
@@ -863,7 +868,7 @@ def extend_hom(f: HomMap, M: XObject, N: XObject, mu: Weight) -> HomMap | Obstru
 
     # U @ fm @ V = [I 0]: Uinv is a basis of M_mu whose first k columns span
     # the lowering image, fm @ V[:, :k] == Uinv[:, :k], and Uinv has inverse U.
-    snf = linalg.smith_normal_form(fm)
+    snf = linalg.smith_normal_form(fm, track=("U", "Uinv", "V"))
     if any(snf.exponents):
         raise XCatError(f"lowering image is not a direct summand at {mu}")
     k = snf.rank

@@ -74,3 +74,18 @@ def test_probe_sees_every_build_step(probe, a2, cyc3):
         assert p.counts["forms.steps"] == steps
     finally:
         p.uninstall()
+
+
+def test_probe_counts_every_snf(probe, a2, cyc3):
+    # Counts recorded before callers passed track=; an SNF that bypasses the
+    # module attribute linalg.smith_normal_form would lower them.
+    p = probe.Probe()
+    p.install("count")
+    try:
+        S = xcat.build_smin(a2, cyc3, (1, 1))
+        xcat.check_axioms(S)
+        xcat.minimality_certificate(S)
+    finally:
+        p.uninstall()
+    assert (p.counts["linalg.snf"], p.counts["linalg.snf_cells"],
+            p.counts["linalg.snf_rank_only"]) == (36, 112, 12)

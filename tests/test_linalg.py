@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from qtilt.linalg import (
+    TRANSFORMS,
     LinAlgError,
     Mat,
     det_valuation,
@@ -22,7 +24,7 @@ from qtilt.linalg import (
     solve_in_span,
     vstack,
 )
-from qtilt.ring import embed, generic_field, integer_local, qbinom, qint
+from qtilt.ring import embed, generic_field, integer_local, lp, parse_ring, qbinom, qint
 
 
 def imat(ring, rows):
@@ -309,3 +311,48 @@ def test_block_solve_cyc_cases(cyc3):
     assert solve_in_span(g, outside) is None
     with pytest.raises(LinAlgError):
         solve_in_span(g, Mat.zero(cyc3, 2, 1))
+
+
+# ---------------------------------------------------------------------------
+# tracked transforms
+
+_TRACK_RINGS = {"int:3": integer_local(3), "cyc:3": parse_ring("cyc:3"),
+                "generic": generic_field()}
+# Entries with 0, units and multiples of the uniformizer over both DVRs
+# ([3] is divisible by sigma_3, and by 3 once v -> 1).
+_TRACK_POOL = [lp({}), lp({0: 1}), lp({0: -1}), qint(2), qint(3), qint(3) * qint(3),
+               qint(4), qint(6), lp({1: 1}), lp({0: 3}), lp({0: 2, 2: -1})]
+_SUBSETS = [tuple(t for t, keep in zip(TRANSFORMS, bits) if keep)
+            for bits in itertools.product((False, True), repeat=4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_TRACK_RINGS)), st.integers(1, 4), st.integers(1, 4),
+       st.data())
+def test_tracked_snf_matches_full(desc, m, n, data):
+    ring = _TRACK_RINGS[desc]
+    pool = st.sampled_from(range(len(_TRACK_POOL)))
+    rows = [[_TRACK_POOL[data.draw(pool)] for _ in range(n)] for _ in range(m)]
+    if m > 2 and data.draw(st.booleans()):
+        # rank deficiency: the last row is the sum of the first two
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+    if data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, m - 1))] = [lp({})] * n
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, n - 1))
+        for r in rows:
+            r[j] = lp({})
+    M = qmat(ring, rows)
+    full = smith_normal_form(M)
+    assert full.ring == ring
+    for track in _SUBSETS:
+        snf = smith_normal_form(M, track=track)
+        assert snf.exponents == full.exponents, track
+        for name in TRANSFORMS:
+            got = getattr(snf, name)
+            assert got == (getattr(full, name) if name in track else None), (track, name)
+
+
+def test_track_rejects_unknown_names(int3):
+    with pytest.raises(LinAlgError):
+        smith_normal_form(Mat.identity(int3, 2), track=("U", "W"))

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,38 @@ def test_integer_local_rejects_composites():
         integer_local(6)
     with pytest.raises(RingError):
         integer_local(1)
+
+
+def _trial_division_is_prime(p):
+    return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    is_prime = ring_mod._is_prime
+    assert [p for p in range(10**5) if is_prime(p)] == [
+        p for p in range(10**5) if _trial_division_is_prime(p)]
+
+
+def test_is_prime_on_strong_pseudoprimes():
+    # 3825123056546413051 passes Miller-Rabin for every prime base up to 23.
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461,
+              2**61 - 1, 2**79 - 1, 10**24 + 7):
+        assert ring_mod._is_prime(n) == sympy.isprime(n), n
+
+
+def test_parse_ring_large_prime_is_fast():
+    # Trial division up to the square root takes minutes on this one.
+    start = time.perf_counter()
+    ring = parse_ring("int:1000000000000000003")
+    assert time.perf_counter() - start < 1
+    assert ring.descriptor() == "int:1000000000000000003"
+    with pytest.raises(RingError, match="not prime"):
+        parse_ring("int:1000000000000000001")
+
+
+def test_parse_ring_refuses_primes_beyond_the_exact_bound():
+    with pytest.raises(RingError, match="too large"):
+        parse_ring("int:10000000000000000000000013")  # a 26-digit prime
 
 
 def test_elements_outside_ring_rejected(int3, cyc3):

@@ -173,3 +173,45 @@ def test_inner_form_symmetric_positive(a2, b2, g2):
 def test_dominant_conjugate(a2):
     assert a2.dominant_conjugate((-1, -1)) == (1, 1)
     assert a2.dominant_conjugate((2, 0)) == (2, 0)
+
+
+_LATTICE_LABELS = ("A1", "A3", "B3", "C3", "D4", "G2", "F4", "E6")
+_LATTICE_SYSTEMS = {lbl: root_system(lbl) for lbl in _LATTICE_LABELS}
+
+
+def _fraction_dominance(rs, mu, lam):
+    """lam - mu in the positive root cone, read off the Fraction root coordinates."""
+    coords = rs.root_coords(tuple(a - b for a, b in zip(lam, mu)))
+    return all(c.denominator == 1 and c >= 0 for c in coords)
+
+
+def test_lattice_denominator_is_least(a2, b2, g2):
+    assert a2.lattice[0] == 3 and b2.lattice[0] == 2 and g2.lattice[0] == 1
+    for rs in _LATTICE_SYSTEMS.values():
+        den, inv = rs.lattice
+        assert all(c * den == x for row, irow in zip(rs._inv_cartan, inv)
+                   for c, x in zip(row, irow))
+        assert not any(all((c * d).denominator == 1 for row in rs._inv_cartan for c in row)
+                       for d in range(1, den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_LATTICE_LABELS), st.data())
+def test_integer_dominance_matches_fraction_reference(label, data):
+    rs = _LATTICE_SYSTEMS[label]
+    small = st.lists(st.integers(-4, 4), min_size=rs.rank, max_size=rs.rank)
+    lam = tuple(data.draw(small))
+    if data.draw(st.booleans()):
+        # mu = lam - (a nonnegative root combination), perturbed sometimes,
+        # so both answers occur often.
+        mu = lam
+        for i, n in enumerate(data.draw(st.lists(st.integers(0, 3), min_size=rs.rank,
+                                                 max_size=rs.rank))):
+            mu = rs.add_root(mu, i, -n)
+        if data.draw(st.booleans()):
+            mu = rs.add_root(mu, data.draw(st.integers(0, rs.rank - 1)), 1)
+    else:
+        mu = tuple(data.draw(small))
+    want = _fraction_dominance(rs, mu, lam)
+    assert dominance_leq(rs, mu, lam) == want
+    assert rs.lattice_leq(rs.lattice_coords(mu), rs.lattice_coords(lam)) == want

@@ -222,6 +222,17 @@ def test_malformed_files_exit_2(runner, tmp_path, golden, corrupt, error):
         assert isinstance(res.exception, SystemExit)
 
 
+def test_check_refuses_a_ring_prime_too_large(runner, tmp_path):
+    obj = _golden_dict("a2_smin_int3_w11.json")
+    obj["ring"] = "int:10000000000000000000000013"  # a 26-digit prime
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["check", str(bad)])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output and "too large" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
 _DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 

@@ -459,7 +459,8 @@ def test_minimality_certificate_two_snfs_per_weight(a2, cyc3, monkeypatch):
     checked = [mu for mu in S.region if delta_space(S, mu)[1].rows]
     calls = []
     snf = linalg_mod.smith_normal_form
-    monkeypatch.setattr(linalg_mod, "smith_normal_form", lambda m: calls.append(m) or snf(m))
+    monkeypatch.setattr(linalg_mod, "smith_normal_form",
+                        lambda m, *args, **kwargs: calls.append(m) or snf(m, *args, **kwargs))
     assert minimality_certificate(S).ok
     assert len(calls) == 2 * len(checked)
 
@@ -613,3 +614,101 @@ def test_maximal_step_matches_two_snf_reference(root, ring, lam):
     for mu in weights_below(rs, lam, prune_hull=True)[1:]:
         M = _reference_maximal_extend(M, mu)
     assert dump_xobject(build_smax(rs, ring, lam)) == dump_xobject(M)
+
+
+def _weyl_sl2_quantum_tilting(l, lam):
+    """The character of the tilting module T(lam) of quantum SL2 over
+    ``cyc:l``, from the weights alone.  [n] vanishes at a primitive l-th root
+    of unity iff l divides 2n, so the quantum characteristic is e = l for odd
+    l and l/2 for even l.  T(lam) = Delta(lam) + Delta(lam') when lam >= e
+    and lam + 1 is not a multiple of e, where lam' is the reflection of lam
+    in the wall a*e - 1 just below it; otherwise T(lam) = Delta(lam)."""
+    e = l if l % 2 else l // 2
+    out = _weyl_sl2(lam)
+    if lam >= e and (lam + 1) % e:
+        wall = (lam + 1) // e * e - 1
+        for w in _weyl_sl2(2 * wall - lam):
+            out[w] = out.get(w, 0) + 1
+    return out
+
+
+def test_quantum_sl2_tilting_oracle_known_values():
+    # T(3) at l = 3 (e = 3): Delta(3) + Delta(1); T(5) at l = 3 is Delta(5)
+    assert _weyl_sl2_quantum_tilting(3, 3) == {3: 1, 1: 2, -1: 2, -3: 1}
+    assert _weyl_sl2_quantum_tilting(3, 5) == _weyl_sl2(5)
+    # l = 8 gives e = 4: T(4) = Delta(4) + Delta(2)
+    assert _weyl_sl2_quantum_tilting(8, 4) == {4: 1, 2: 2, 0: 2, -2: 2, -4: 1}
+
+
+@pytest.mark.parametrize("l", [3, 4, 5, 6, 7, 8])
+def test_build_smax_cyc_l_matches_closed_form(a1, l):
+    # lam <= 10 keeps tier-1 at a few seconds; lam <= 16 takes minutes.
+    ring = parse_ring(f"cyc:{l}")
+    for lam in range(11):
+        want = {(w,): m for w, m in _weyl_sl2_quantum_tilting(l, lam).items()}
+        assert character(build_smax(a1, ring, (lam,))) == want, (l, lam)
+
+
+def _entries(rep):
+    return [(e.check, e.weight, e.status, e.witness) for e in rep.entries]
+
+
+def _corrupt(M, ops, key):
+    """M with the operator ops[key] ("eops" or "fops") scaled by the uniformizer."""
+    new = dict(getattr(M, ops))
+    new[key] = new[key].scale(M.ring.uniformizer())
+    return replace(M, **{ops: new})
+
+
+# Reports recorded before the X2 loop moved to integer root-lattice
+# dominance.  The B2 failures at (-4, 5) lie outside the region but above a
+# region weight, so they pin which bottom weights the X2 loop indexes.
+_A2_RESTRICTED_CHECK = [
+    ("X1", None, "pass", "6 weights, all ranks finite"),
+    ("X2", (-2, 3), "fail", "alpha=0 beta=0 m=1 n=2 source=(2, 1)"),
+    ("X2", (-2, 3), "fail", "alpha=0 beta=0 m=1 n=1 source=(0, 2)"),
+    ("X2", (-1, 1), "fail", "alpha=0 beta=1 m=1 n=1 source=(-2, 3)"),
+    ("X3a", None, "pass", None), ("X3b", None, "pass", None), ("X3c", None, "pass", None),
+]
+_A2_RESTRICTED_VERIFY = [
+    ("commutation", (-2, 3), "fail", "alpha=0 beta=0 m=1 n=2"),
+    ("commutation", (-2, 3), "fail", "alpha=0 beta=0 m=1 n=1"),
+    ("commutation", (-1, 1), "fail", "alpha=0 beta=1 m=1 n=1"),
+    ("divided-power-E", (-2, 3), "fail", "alpha=0 m=1 n=1"),
+    ("serre", None, "pass", None),
+]
+_B2_CHECK = [
+    ("X1", None, "pass", "12 weights, all ranks finite"),
+    ("X2", (-2, 3), "fail", "alpha=0 beta=0 m=1 n=2 source=(2, -1)"),
+    ("X2", (-2, 3), "fail", "alpha=0 beta=0 m=2 n=2 source=(2, -1)"),
+    ("X2", (-4, 5), "fail", "alpha=0 beta=0 m=1 n=2 source=(0, 1)"),
+    ("X3a", None, "pass", None), ("X3b", None, "pass", None), ("X3c", None, "pass", None),
+]
+_B2_VERIFY = [
+    ("commutation", (-2, 3), "fail", "alpha=0 beta=0 m=1 n=2"),
+    ("commutation", (-2, 3), "fail", "alpha=0 beta=0 m=2 n=2"),
+    ("commutation", (-4, 5), "fail", "alpha=0 beta=0 m=1 n=2"),
+    ("divided-power-F", (-2, 3), "fail", "alpha=0 m=1 n=1"),
+    ("serre-F", (-2, 3), "fail", "alpha=0 beta=1"),
+    ("serre-F", (-1, 1), "fail", "alpha=0 beta=1"),
+]
+
+
+def test_pinned_reports_on_a_restricted_a2_object(a2, cyc3):
+    R = restrict(build_smax(a2, cyc3, (2, 1)), weights_below(a2, (2, 1))[:6])
+    assert sorted(R.region) == [(-2, 3), (-1, 1), (0, 2), (1, 0), (2, 1), (3, -1)]
+    assert _entries(check_axioms(R)) == [
+        ("X1", None, "pass", "6 weights, all ranks finite"), ("X2", None, "pass", None),
+        ("X3a", None, "pass", None), ("X3b", None, "pass", None), ("X3c", None, "pass", None)]
+    assert _entries(verify_relations(R)) == [
+        ("commutation", None, "pass", None), ("divided-power", None, "pass", None),
+        ("serre", None, "pass", None)]
+    bad = _corrupt(R, "eops", ((-2, 3), 0, 1))
+    assert _entries(check_axioms(bad)) == _A2_RESTRICTED_CHECK
+    assert _entries(verify_relations(bad)) == _A2_RESTRICTED_VERIFY
+
+
+def test_pinned_reports_on_a_corrupted_b2_object(b2, cyc3):
+    bad = _corrupt(build_smax(b2, cyc3, (1, 1)), "fops", ((-2, 3), 0, 2))
+    assert _entries(check_axioms(bad)) == _B2_CHECK
+    assert _entries(verify_relations(bad)) == _B2_VERIFY
