@@ -37,7 +37,12 @@ class LinAlgError(ValueError):
 
 @dataclass(frozen=True)
 class Mat:
-    """Dense matrix of ring elements sharing one ground ring."""
+    """Dense matrix of ring elements sharing one ground ring.
+
+    ``from_rows`` and ``from_cols`` check the ring of every entry, for input
+    from outside; the arithmetic and the stacking build their results
+    directly and check only that their input matrices share one ring.
+    """
 
     ring: GroundRing
     rows: int
@@ -87,18 +92,18 @@ class Mat:
         return self.entries[ij[0]][ij[1]]
 
     def col(self, j: int) -> "Mat":
-        return Mat.from_rows(self.ring, [[self.entries[i][j]] for i in range(self.rows)], cols=1)
+        return self.take_cols((j,))
 
     def take_cols(self, idx: Sequence[int]) -> "Mat":
-        return Mat.from_rows(self.ring, [[self.entries[i][j] for j in idx]
-                                         for i in range(self.rows)], cols=len(idx))
+        return Mat(self.ring, self.rows, len(idx),
+                   tuple(tuple([r[j] for j in idx]) for r in self.entries))
 
     def take_rows(self, idx: Sequence[int]) -> "Mat":
-        return Mat.from_rows(self.ring, [self.entries[i] for i in idx], cols=self.cols)
+        return Mat(self.ring, len(idx), self.cols, tuple(self.entries[i] for i in idx))
 
     def transpose(self) -> "Mat":
-        return Mat.from_rows(self.ring, [[self.entries[i][j] for i in range(self.rows)]
-                                         for j in range(self.cols)], cols=self.rows)
+        return Mat(self.ring, self.cols, self.rows,
+                   tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
 
     @property
     def T(self) -> "Mat":
@@ -107,38 +112,40 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise LinAlgError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if self.ring != other.ring:
-            raise LinAlgError("mixed rings in matrix product")
+        _common_ring((self, other), "matrix product")
         z = self.ring.zero()
+        cols = range(other.cols)
         out = []
-        for i in range(self.rows):
+        for arow in self.entries:
             row = []
-            for j in range(other.cols):
+            for j in cols:
                 acc = z
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
+                for a, brow in zip(arow, other.entries):
+                    b = brow[j]
                     if not (a.is_zero() or b.is_zero()):
                         acc = acc + a * b
                 row.append(acc)
-            out.append(row)
-        return Mat.from_rows(self.ring, out, cols=other.cols)
+            out.append(tuple(row))
+        return Mat(self.ring, self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinAlgError("shape mismatch in sum")
-        return Mat.from_rows(self.ring, [
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)
-        ], cols=self.cols)
+        _common_ring((self, other), "matrix sum")
+        return Mat(self.ring, self.rows, self.cols, tuple(
+            tuple([a + b for a, b in zip(r1, r2)])
+            for r1, r2 in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
 
     def __neg__(self) -> "Mat":
-        return Mat.from_rows(self.ring, [[-a for a in r] for r in self.entries], cols=self.cols)
+        return Mat(self.ring, self.rows, self.cols,
+                   tuple(tuple([-a for a in r]) for r in self.entries))
 
     def scale(self, c: RingElem) -> "Mat":
-        return Mat.from_rows(self.ring, [[a * c for a in r] for r in self.entries], cols=self.cols)
+        return Mat(self.ring, self.rows, self.cols,
+                   tuple(tuple([a * c for a in r]) for r in self.entries))
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for r in self.entries for e in r)
@@ -151,6 +158,16 @@ class Mat:
         return f"[{body}]"
 
 
+def _common_ring(mats: Sequence[Mat], what: str) -> GroundRing:
+    """The ring the matrices share, checked once per matrix (their entries
+    were checked when they were built)."""
+    ring = mats[0].ring
+    for m in mats[1:]:
+        if m.ring is not ring and m.ring != ring:
+            raise LinAlgError(f"mixed rings in {what}")
+    return ring
+
+
 def hstack(mats: Sequence[Mat]) -> Mat:
     mats = list(mats)
     if not mats:
@@ -158,9 +175,9 @@ def hstack(mats: Sequence[Mat]) -> Mat:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise LinAlgError("hstack row mismatch")
-    return Mat.from_rows(mats[0].ring, [
-        [e for m in mats for e in m.entries[i]] for i in range(rows)
-    ], cols=sum(m.cols for m in mats))
+    ring = _common_ring(mats, "hstack")
+    return Mat(ring, rows, sum(m.cols for m in mats), tuple(
+        tuple([e for m in mats for e in m.entries[i]]) for i in range(rows)))
 
 
 def vstack(mats: Sequence[Mat]) -> Mat:
@@ -170,7 +187,9 @@ def vstack(mats: Sequence[Mat]) -> Mat:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise LinAlgError("vstack col mismatch")
-    return Mat.from_rows(mats[0].ring, [r for m in mats for r in m.entries], cols=cols)
+    ring = _common_ring(mats, "vstack")
+    return Mat(ring, sum(m.rows for m in mats), cols,
+               tuple(r for m in mats for r in m.entries))
 
 
 # ---------------------------------------------------------------------------

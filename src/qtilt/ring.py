@@ -73,7 +73,7 @@ def _coeff(c):
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LaurentPoly:
     """Laurent polynomial in v with rational coefficients.
 
@@ -453,7 +453,7 @@ def integer_local(p: int, genericity_bound: int = 24) -> GroundRing:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RingElem:
     """Element of a ground ring in canonical form.
 

@@ -237,20 +237,77 @@ def delta_space(M: XObject, mu: Weight) -> tuple[DeltaIndex, Mat, Mat]:
     return index, vstack(e_blocks), hstack(f_blocks)
 
 
-def _commutator_rhs(M: XObject, mu: Weight, a: int, b: int, m: int, n: int,
-                    src: Weight, tgt: Weight) -> Mat:
-    """The normal-ordered side of the degree-(m, n) commutation identity on
-    the source src = mu + n*alpha_b, with target tgt = mu + m*alpha_a."""
+def _fe(M: XObject, src: Weight, a: int, m: int, b: int, n: int
+        ) -> tuple[int, int, Mat | None]:
+    """F_{b,n} E_{a,m} on the source src, as (rows, cols, P): P is the
+    product, or None when it is zero.
+
+    A degree-0 factor is the identity, so the other factor is returned as it
+    is; an absent operator makes the product zero without a matmul; a real
+    product goes through ``Mat.__matmul__``.  The factor shapes are checked
+    as ``@`` checks them, an identity or an absent operator taking the shape
+    its endpoint ranks give, so a stored operator of the wrong shape raises
+    LinAlgError.
+    """
+    rs = M.rs
+    mid = rs.add_root(src, a, m) if m else src
+    tgt = rs.add_root(mid, b, -n) if n else mid
+    e = M.eops.get((src, a, m)) if m else None
+    f = M.fops.get((tgt, b, n)) if n else None
+    e_rows, cols = (e.rows, e.cols) if e is not None else (M.rank(mid), M.rank(src))
+    rows, f_cols = (f.rows, f.cols) if f is not None else (M.rank(tgt), M.rank(mid))
+    if f_cols != e_rows:
+        raise linalg.LinAlgError(f"shape mismatch {rows}x{f_cols} @ {e_rows}x{cols}")
+    if e is not None and f is not None:
+        return rows, cols, f @ e
+    if m and e is None or n and f is None:
+        return rows, cols, None
+    return rows, cols, e if m else f if n else Mat.identity(M.ring, cols)
+
+
+def _commutation_rhs(M: XObject, mu: Weight, a: int, b: int, m: int, n: int,
+                     src: Weight, tgt: Weight, memo: dict | None = None) -> Mat:
+    """The normal-ordered side of E_{a,m} F_{b,n} on the source
+    src = mu + n*alpha_b, with target tgt = mu + m*alpha_a: F_{b,n} E_{a,m}
+    when a != b, else Lusztig's sum over r of
+    [mu_a + m + n choose r]_{d_a} F_{a,n-r} E_{a,m-r}.
+
+    The sum is accumulated entrywise; the r = 0 coefficient is 1 and is not
+    multiplied.  ``memo`` holds the sum's products on src, keyed by
+    (a, m - r, n - r), for the caller to share between the identities on src
+    (identity (mu + r*alpha_a, m - r, n - r) reuses the r-th product here).
+    """
+    ring = M.ring
     if a != b:
-        return M.fop(tgt, b, n) @ M.eop(src, a, m)
-    out = Mat.zero(M.ring, M.rank(tgt), M.rank(src))
+        rows, cols, prod = _fe(M, src, a, m, b, n)
+        return prod if prod is not None else Mat.zero(ring, rows, cols)
+    if memo is None:
+        memo = {}
+    rows, cols = M.rank(tgt), M.rank(src)
+    acc = None
     for r in range(min(m, n) + 1):
-        coeff = _qb(M.ring, mu[a] + m + n, r, M.rs.d[a])
-        if coeff.is_zero():
+        coeff = _qb(ring, mu[a] + m + n, r, M.rs.d[a]) if r else None  # None: 1
+        if coeff is not None and coeff.is_zero():
             continue
-        term = M.fop(tgt, a, n - r) @ M.eop(src, a, m - r)
-        out = out + term.scale(coeff)
-    return out
+        key = (a, m - r, n - r)
+        term = memo.get(key)
+        if term is None:
+            term = memo[key] = _fe(M, src, a, m - r, a, n - r)
+        if term[:2] != (rows, cols):
+            raise linalg.LinAlgError("shape mismatch in sum")
+        prod = term[2]
+        if prod is None:
+            continue
+        if acc is None:
+            acc = [[ring.zero()] * cols for _ in range(rows)]
+        for arow, prow in zip(acc, prod.entries):
+            for j, x in enumerate(prow):
+                if not x.is_zero():
+                    y = x if coeff is None else x * coeff
+                    arow[j] = y if arow[j].is_zero() else arow[j] + y
+    if acc is None:
+        return Mat.zero(ring, rows, cols)
+    return Mat(ring, rows, cols, tuple(map(tuple, acc)))
 
 
 def hat_matrices(M: XObject, mu: Weight) -> tuple[Mat, Mat, DeltaIndex]:
@@ -259,13 +316,16 @@ def hat_matrices(M: XObject, mu: Weight) -> tuple[Mat, Mat, DeltaIndex]:
     The formal space is the direct sum of the upper neighbours (same block
     index as the delta space); the lowering matrix is the tautological
     identity and the raising matrix is assembled from the stored operators
-    above mu via the commutation formula.
+    above mu via the commutation formula (``_commutation_rhs``), one block
+    per pair of upper neighbours.  Each F.E product is computed once per
+    source (no two blocks share one), a degree-0 factor is the identity and
+    is not multiplied, and nothing is cached past one call.
     """
     index = _delta_index(M, mu)
     dr = _delta_rank(index)
     ups = [M.rs.add_root(mu, blk.alpha, blk.n) for blk in index]
     rows = [
-        hstack([_commutator_rhs(M, mu, rb.alpha, cb.alpha, rb.n, cb.n, src, tgt)
+        hstack([_commutation_rhs(M, mu, rb.alpha, cb.alpha, rb.n, cb.n, src, tgt)
                 for cb, src in zip(index, ups)])
         for rb, tgt in zip(index, ups)
     ]
@@ -488,6 +548,12 @@ def _x2_failures(M: XObject):
     on (the upward closure of its region: restrictions to smaller closed
     sets drop the identities below them), and the source mu + n*alpha_b and
     target mu + m*alpha_a must both be supported, else every term vanishes.
+
+    Each identity is compared exactly against E_{a,m} F_{b,n}.  The loop
+    runs over sources, and the F.E products of the normal-ordered side are
+    memoized for the current source only: a product shared by the identities
+    (mu + r*alpha, m - r, n - r) is computed once, a degree-0 factor is the
+    identity and is not multiplied, and nothing is cached past one call.
     """
     supp = M.spaces
     rs = M.rs
@@ -504,6 +570,8 @@ def _x2_failures(M: XObject):
         return hit
 
     for src in supp:
+        # Every product on src is keyed by src, so the memo is cleared here.
+        memo: dict = {}
         for b in range(rs.rank):
             for n in range(1, bound):
                 mu = rs.add_root(src, b, -n)
@@ -515,7 +583,7 @@ def _x2_failures(M: XObject):
                         if tgt not in supp:
                             continue
                         lhs = M.eop(mu, a, m) @ M.fop(mu, b, n)
-                        if lhs != _commutator_rhs(M, mu, a, b, m, n, src, tgt):
+                        if lhs != _commutation_rhs(M, mu, a, b, m, n, src, tgt, memo):
                             yield mu, a, b, m, n, src
 
 

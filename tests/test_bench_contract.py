@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qtilt import forms, xcat
+from qtilt import forms, serialize, xcat  # noqa: F401 (the probe wraps serialize)
 from qtilt.rootsys import weights_below
 from qtilt.xcat import DeltaBlock, hat_matrices
 
@@ -89,3 +89,20 @@ def test_probe_counts_every_snf(probe, a2, cyc3):
         p.uninstall()
     assert (p.counts["linalg.snf"], p.counts["linalg.snf_cells"],
             p.counts["linalg.snf_rank_only"]) == (36, 112, 12)
+
+
+def test_probe_counts_x2_products(probe, a1, cyc3):
+    # The commutation identities of check_axioms and verify_relations go
+    # through the wrapped Mat.__matmul__: one E.F product per identity and
+    # one F.E product per source, degree and root, none with an identity or
+    # an absent factor.  Matmuls in check_axioms, then in both together.
+    M = xcat.build_smax(a1, cyc3, (8,))
+    p = probe.Probe()
+    p.install("count")
+    try:
+        xcat.check_axioms(M)
+        in_check = p.counts["linalg.matmul"]
+        xcat.verify_relations(M)
+    finally:
+        p.uninstall()
+    assert (in_check, p.counts["linalg.matmul"]) == (296, 752)

@@ -1,0 +1,218 @@
+"""The commutation kernel of xcat against a matrix-level reference.
+
+``_reference_rhs`` evaluates Lusztig's commutation rule one ``Mat`` at a
+time: every term multiplies full operator matrices, with identities for the
+degree-0 factors and zero matrices for absent operators, and nothing is
+shared between identities.  The kernel (``xcat._commutation_rhs``) must give
+the same matrix for every X2 instance and every hat block, and a corrupted
+object must fail the checks exactly as the reference says.
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from qtilt.linalg import Mat, hstack, vstack
+from qtilt.ring import generic_field, parse_ring
+from qtilt.rootsys import dominance_leq, root_system
+from qtilt.xcat import (
+    _commutation_rhs,
+    _delta_index,
+    _qb,
+    _x2_failures,
+    build_smax,
+    check_axioms,
+    hat_matrices,
+    verify_relations,
+)
+
+OUTCOMES = Path(__file__).resolve().parent / "x2_corruption_outcomes.json"
+
+OBJECTS = [
+    *[("A1", ring, (lam,)) for ring, lam in
+      (("cyc:3", 8), ("cyc:6", 8), ("int:2", 7), ("int:3", 8))],
+    ("A2", "cyc:3", (2, 1)), ("B2", "cyc:3", (1, 1)), ("G2", "cyc:3", (1, 0)),
+]
+
+
+@lru_cache(maxsize=None)
+def _build(root, ring, lam):
+    return build_smax(root_system(root), parse_ring(ring), lam)
+
+
+def _reference_rhs(M, mu, a, b, m, n, src, tgt):
+    """The normal-ordered side of E_{a,m} F_{b,n} on src, one Mat per term."""
+    if a != b:
+        return M.fop(tgt, b, n) @ M.eop(src, a, m)
+    out = Mat.zero(M.ring, M.rank(tgt), M.rank(src))
+    for r in range(min(m, n) + 1):
+        coeff = _qb(M.ring, mu[a] + m + n, r, M.rs.d[a])
+        if coeff.is_zero():
+            continue
+        term = M.fop(tgt, a, n - r) @ M.eop(src, a, m - r)
+        out = out + term.scale(coeff)
+    return out
+
+
+def _reference_hat(M, mu):
+    """The raising matrix of hat_matrices, assembled from reference blocks."""
+    index = _delta_index(M, mu)
+    if not index:
+        return Mat.zero(M.ring, 0, 0)
+    ups = [M.rs.add_root(mu, blk.alpha, blk.n) for blk in index]
+    return vstack([
+        hstack([_reference_rhs(M, mu, rb.alpha, cb.alpha, rb.n, cb.n, src, tgt)
+                for cb, src in zip(index, ups)])
+        for rb, tgt in zip(index, ups)])
+
+
+def _weights_and_frontier(M):
+    """The region and the weights one simple root below it, sorted."""
+    rs = M.rs
+    return sorted(M.region | {rs.add_root(mu, i, -1)
+                              for mu in M.region for i in range(rs.rank)})
+
+
+def _reference_instances(M):
+    """(mu, a, b, m, n, src, tgt) for every X2 identity, in the order of
+    ``_x2_failures``, with the index set read off ``dominance_leq``."""
+    rs = M.rs
+    bound = 2 * M.max_op_index() + 2
+    for src in M.spaces:
+        for b in range(rs.rank):
+            for n in range(1, bound):
+                mu = rs.add_root(src, b, -n)
+                if mu not in M.region and not any(
+                        dominance_leq(rs, x, mu) for x in M.region):
+                    continue
+                for a in range(rs.rank):
+                    for m in range(1, bound):
+                        tgt = rs.add_root(mu, a, m)
+                        if tgt in M.spaces:
+                            yield mu, a, b, m, n, src, tgt
+
+
+def _reference_failures(M):
+    return [inst[:6] for inst in _reference_instances(M)
+            if M.eop(inst[0], inst[1], inst[3]) @ M.fop(inst[0], inst[2], inst[4])
+            != _reference_rhs(M, *inst)]
+
+
+def _ids(obj):
+    return "-".join([obj[0], obj[1], ",".join(map(str, obj[2]))])
+
+
+@pytest.mark.parametrize("root, ring, lam", OBJECTS, ids=map(_ids, OBJECTS))
+def test_kernel_matches_reference_on_every_x2_instance(root, ring, lam):
+    M = _build(root, ring, lam)
+    memo, last_src, count = {}, None, 0
+    for inst in _reference_instances(M):
+        if inst[5] != last_src:
+            memo, last_src = {}, inst[5]
+        assert _commutation_rhs(M, *inst, memo) == _reference_rhs(M, *inst), inst
+        count += 1
+    assert count > 0
+
+
+@pytest.mark.parametrize("root, ring, lam", OBJECTS, ids=map(_ids, OBJECTS))
+def test_kernel_matches_reference_on_every_hat_block(root, ring, lam):
+    M = _build(root, ring, lam)
+    for mu in _weights_and_frontier(M):
+        assert hat_matrices(M, mu)[0] == _reference_hat(M, mu), mu
+
+
+def test_corrupted_shared_product_fails_as_reference(a1, cyc3):
+    # On the source (0,), the product F_2 E_1 is the r-th term of the
+    # identities at mu = (-4,), (-6,), (-8,) with (m, n) = (1 + r, 2 + r),
+    # r = 0, 1, 2: the memo computes it once for all three.  Corrupting E_1
+    # there must fail each of them, as the unshared reference does.
+    M = build_smax(a1, cyc3, (8,))
+    key = ((0,), 0, 1)
+    eops = dict(M.eops)
+    eops[key] = eops[key].scale(cyc3.uniformizer())
+    bad = replace(M, eops=eops)
+    got = list(_x2_failures(bad))
+    assert got == _reference_failures(bad)
+    assert {((-4 - 2 * r,), 0, 0, 1 + r, 2 + r, (0,)) for r in range(3)} <= set(got)
+    assert _reference_failures(M) == list(_x2_failures(M)) == []
+
+
+def _corrupt(M, side, key, extra):
+    """M with one stored operator given an extra row or column of ones, or
+    (extra == "ring") replaced by ones over another ring."""
+    ops = dict(getattr(M, side))
+    old = ops[key]
+    if extra == "ring":
+        gf = generic_field()
+        ops[key] = Mat.from_rows(gf, [[gf.one()] * old.cols for _ in range(old.rows)],
+                                 cols=old.cols)
+        return replace(M, **{side: ops})
+    rows = [list(r) for r in old.entries]
+    one = M.ring.one()
+    if extra == "row":
+        rows.append([one] * old.cols)
+    else:
+        rows = [r + [one] for r in rows]
+    ops[key] = Mat.from_rows(M.ring, rows, cols=old.cols + (extra == "col"))
+    return replace(M, **{side: ops})
+
+
+def _or_error(fn):
+    """fn(), or the name of the exception type it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # the outcome names the type
+        return type(exc).__name__
+
+
+def _outcome(check, M):
+    """The exception type a check raises, or its failure count and digest."""
+    rep = _or_error(lambda: check(M))
+    if isinstance(rep, str):
+        return rep
+    fails = [f"{e.check}|{e.weight}|{e.witness}" for e in rep.failures()]
+    return f"{len(fails)}:" + hashlib.sha256("\n".join(fails).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("extra", ["row", "col"])
+@pytest.mark.parametrize("side", ["eops", "fops"])
+@pytest.mark.parametrize("ring, lam", [("cyc:3", 4), ("cyc:3", 6), ("int:3", 8)])
+def test_misshapen_operator_fails_as_recorded(ring, lam, side, extra):
+    # Outcomes recorded with the Mat-level evaluation of the commutation
+    # rule, one per stored operator; case ids are
+    # <ring>-<lam>-<E|F><weight>,<n>-<row|col>.
+    expected = json.loads(OUTCOMES.read_text())
+    M = _build("A1", ring, (lam,))
+    got, want = {}, {}
+    for key in sorted(getattr(M, side)):
+        (mu,), _, n = key
+        cid = f"{ring}-{lam}-{side[0].upper()}{mu},{n}-{extra}"
+        bad = _corrupt(M, side, key, extra)
+        got[cid] = [_outcome(check_axioms, bad), _outcome(verify_relations, bad)]
+        want[cid] = expected[cid]
+    assert got == want
+
+
+@pytest.mark.parametrize("root, ring, lam", [("A1", "cyc:3", (4,)), ("A2", "cyc:3", (1, 1))],
+                         ids=["A1-cyc:3-4", "A2-cyc:3-1,1"])
+def test_hat_blocks_of_misshapen_objects_match_reference(root, ring, lam):
+    # The hat assembly reaches shapes and rings the X2 loop rejects earlier
+    # through the identities' left-hand sides, so it is compared on its own.
+    M = _build(root, ring, lam)
+    weights = _weights_and_frontier(M)
+    raised = 0
+    for side in ("eops", "fops"):
+        for key in sorted(getattr(M, side)):
+            for extra in ("row", "col", "ring"):
+                bad = _corrupt(M, side, key, extra)
+                for mu in weights:
+                    got = _or_error(lambda: hat_matrices(bad, mu)[0])
+                    want = _or_error(lambda: _reference_hat(bad, mu))
+                    assert got == want, (side, key, extra, mu)
+                    raised += got == "LinAlgError"
+    assert raised > 0
+

@@ -249,6 +249,28 @@ def test_matrix_shape_errors(int3):
         vstack([imat(int3, [[1, 2]]), imat(int3, [[1]])])
 
 
+def test_foreign_ring_entries_raise(int3, int5, cyc3):
+    # from_rows checks every entry; the combinators check each input's ring
+    with pytest.raises(LinAlgError, match="different ring"):
+        Mat.from_rows(int3, [[int3.one(), int5.one()]])
+    with pytest.raises(LinAlgError, match="different ring"):
+        Mat.from_cols(cyc3, [[cyc3.one()], [int3.one()]])
+    a, b = imat(int3, [[1, 2]]), imat(int5, [[3]])
+    with pytest.raises(LinAlgError, match="mixed rings"):
+        hstack([a, b])
+    with pytest.raises(LinAlgError, match="mixed rings"):
+        vstack([a.T, b])
+    with pytest.raises(LinAlgError, match="mixed rings"):
+        a.T @ b
+    with pytest.raises(LinAlgError, match="mixed rings"):
+        b + imat(int3, [[3]])
+    # same-ring results are built without a per-entry check and stay exact
+    c = hstack([a, imat(int3, [[4]])])
+    assert c == imat(int3, [[1, 2, 4]]) and c.T.T == c
+    assert vstack([c, c]) @ c.T == imat(int3, [[21], [21]])
+    assert a.take_cols([1]) == a.col(1) == imat(int3, [[2]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=3),
