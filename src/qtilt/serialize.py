@@ -123,6 +123,8 @@ def xobject_from_dict(d: dict) -> XObject:
     for w in _field(d, "weights", list):
         coords = _ints(_field(w, "coords"))
         rs.check_weight(coords)
+        if coords in region:
+            raise SerializeError(f"duplicate weight record {coords}")
         region.add(coords)
         r = _int(_field(w, "rank"))
         if r < 0:
@@ -142,12 +144,12 @@ def xobject_from_dict(d: dict) -> XObject:
         kind = _field(op, "kind")
         shape = (r_up, r_mu) if kind == "E" else (r_mu, r_up)
         mat = _mat_from_entries(ring, shape[0], shape[1], _field(op, "entries"))
-        if kind == "E":
-            eops[(mu, a, n)] = mat
-        elif kind == "F":
-            fops[(mu, a, n)] = mat
-        else:
+        table = {"E": eops, "F": fops}.get(kind)
+        if table is None:
             raise SerializeError(f"bad operator kind {kind!r}")
+        if (mu, a, n) in table:
+            raise SerializeError(f"duplicate {kind} record at mu={mu} alpha={a} n={n}")
+        table[(mu, a, n)] = mat
     top = _ints(d["top"]) if d.get("top") is not None else None
     return XObject(ring, rs, spaces, eops, fops, frozenset(region), top)
 

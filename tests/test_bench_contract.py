@@ -91,12 +91,8 @@ def test_probe_counts_every_snf(probe, a2, cyc3):
             p.counts["linalg.snf_rank_only"]) == (36, 112, 12)
 
 
-def test_probe_counts_x2_products(probe, a1, cyc3):
-    # The commutation identities of check_axioms and verify_relations go
-    # through the wrapped Mat.__matmul__: one E.F product per identity and
-    # one F.E product per source, degree and root, none with an identity or
-    # an absent factor.  Matmuls in check_axioms, then in both together.
-    M = xcat.build_smax(a1, cyc3, (8,))
+def _checker_matmuls(probe, M):
+    """Matmuls in check_axioms, then in check_axioms and verify_relations."""
     p = probe.Probe()
     p.install("count")
     try:
@@ -105,4 +101,21 @@ def test_probe_counts_x2_products(probe, a1, cyc3):
         xcat.verify_relations(M)
     finally:
         p.uninstall()
-    assert (in_check, p.counts["linalg.matmul"]) == (296, 752)
+    return in_check, p.counts["linalg.matmul"]
+
+
+def test_probe_counts_x2_products(probe, a1, cyc3):
+    # The commutation identities of check_axioms and verify_relations go
+    # through the wrapped Mat.__matmul__: one E.F product per identity and
+    # one F.E product per source, degree and root, none with an identity or
+    # an absent factor.
+    M = xcat.build_smax(a1, cyc3, (8,))
+    assert _checker_matmuls(probe, M) == (296, 752)
+
+
+def test_probe_counts_no_product_with_an_absent_operator(probe, b2, cyc3):
+    # Unlike A1, B2 (1,1) has absent operators among the factors of its
+    # identities, divided-power rules and Serre relations; a word with an
+    # absent or a degree-0 factor multiplies nothing it need not.
+    M = xcat.build_smin(b2, cyc3, (1, 1))
+    assert _checker_matmuls(probe, M) == (96, 257)

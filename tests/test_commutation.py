@@ -6,6 +6,8 @@ degree-0 factors and zero matrices for absent operators, and nothing is
 shared between identities.  The kernel (``xcat._commutation_rhs``) must give
 the same matrix for every X2 instance and every hat block, and a corrupted
 object must fail the checks exactly as the reference says.
+``_reference_dp_serre`` does the same for the divided-power and Serre
+relations of ``verify_relations``.
 """
 
 import hashlib
@@ -102,6 +104,58 @@ def _reference_failures(M):
             != _reference_rhs(M, *inst)]
 
 
+def _reference_dp_serre(M):
+    """(check, weight, witness) of the divided-power and Serre entries of
+    verify_relations, from Mat-level loops: every term multiplies the
+    matrices of eop/fop, identities and zero matrices included."""
+    ring, rs = M.ring, M.rs
+    out = []
+    bound = M.max_op_index() + 1
+    for mu in sorted(M.spaces):
+        for a in range(rs.rank):
+            for n in range(1, bound):
+                for m in range(1, bound - n + 1):
+                    if rs.add_root(mu, a, m + n) not in M.spaces:
+                        continue
+                    coeff = _qb(ring, m + n, n, rs.d[a])
+                    mid = rs.add_root(mu, a, n)
+                    if M.eop(mid, a, m) @ M.eop(mu, a, n) != M.eop(mu, a, m + n).scale(coeff):
+                        out.append(("divided-power-E", mu, f"alpha={a} m={m} n={n}"))
+                    low = rs.add_root(mu, a, m)
+                    if M.fop(mu, a, m) @ M.fop(low, a, n) != M.fop(mu, a, m + n).scale(coeff):
+                        out.append(("divided-power-F", mu, f"alpha={a} m={m} n={n}"))
+    if not out:
+        out.append(("divided-power", None, None))
+    serre = []
+    minus_one = ring.from_int(-1)
+    for mu in sorted(M.spaces):
+        for a in range(rs.rank):
+            for b in range(rs.rank):
+                if a == b:
+                    continue
+                nab = 1 - rs.cartan[a][b]
+                tgt = rs.add_root(rs.add_root(mu, a, nab), b, 1)
+                if M.rank(tgt) == 0 or M.rank(mu) == 0:
+                    continue
+                acc = Mat.zero(ring, M.rank(tgt), M.rank(mu))
+                for s in range(nab + 1):
+                    w1 = rs.add_root(mu, a, nab - s)
+                    w2 = rs.add_root(w1, b, 1)
+                    term = M.eop(w2, a, s) @ M.eop(w1, b, 1) @ M.eop(mu, a, nab - s)
+                    acc = acc + term.scale(minus_one ** s)
+                if not acc.is_zero():
+                    serre.append(("serre-E", mu, f"alpha={a} beta={b}"))
+                acc = Mat.zero(ring, M.rank(mu), M.rank(tgt))
+                for s in range(nab + 1):
+                    w1 = rs.add_root(mu, a, s)
+                    w2 = rs.add_root(w1, b, 1)
+                    term = M.fop(mu, a, s) @ M.fop(w1, b, 1) @ M.fop(w2, a, nab - s)
+                    acc = acc + term.scale(minus_one ** s)
+                if not acc.is_zero():
+                    serre.append(("serre-F", mu, f"alpha={a} beta={b}"))
+    return out + (serre or [("serre", None, None)])
+
+
 def _ids(obj):
     return "-".join([obj[0], obj[1], ",".join(map(str, obj[2]))])
 
@@ -113,7 +167,9 @@ def test_kernel_matches_reference_on_every_x2_instance(root, ring, lam):
     for inst in _reference_instances(M):
         if inst[5] != last_src:
             memo, last_src = {}, inst[5]
-        assert _commutation_rhs(M, *inst, memo) == _reference_rhs(M, *inst), inst
+        rows, cols, prod = _commutation_rhs(M, *inst, memo)
+        got = prod if prod is not None else Mat.zero(M.ring, rows, cols)
+        assert got == _reference_rhs(M, *inst), inst
         count += 1
     assert count > 0
 
@@ -123,6 +179,24 @@ def test_kernel_matches_reference_on_every_hat_block(root, ring, lam):
     M = _build(root, ring, lam)
     for mu in _weights_and_frontier(M):
         assert hat_matrices(M, mu)[0] == _reference_hat(M, mu), mu
+
+
+@pytest.mark.parametrize("root, ring, lam", OBJECTS[4:], ids=map(_ids, OBJECTS[4:]))
+def test_divided_power_and_serre_match_reference(root, ring, lam):
+    # Intact, then with each stored operator scaled by the uniformizer in
+    # turn; rank 2 objects have absent operators and run the Serre loops.
+    M = _build(root, ring, lam)
+    pi = M.ring.uniformizer()
+    objects = [M] + [replace(M, **{side: {**getattr(M, side), key: op.scale(pi)}})
+                     for side in ("eops", "fops") for key, op in getattr(M, side).items()]
+    failed = 0
+    for bad in objects:
+        got = [(e.check, e.weight, e.witness) for e in verify_relations(bad).entries
+               if not e.check.startswith("commutation")]
+        want = _reference_dp_serre(bad)
+        assert got == want
+        failed += want[0][0] != "divided-power" or want[-1][0] != "serre"
+    assert failed > 0
 
 
 def test_corrupted_shared_product_fails_as_reference(a1, cyc3):

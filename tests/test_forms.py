@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from qtilt.forms import (
@@ -162,3 +164,15 @@ def test_check_form_detects_asymmetry(a1, cyc3):
     bad[(1,)] = Mat.from_rows(cyc3, g, cols=2)
     rep = check_form(M, bad)
     assert any(e.check == "form-symmetric" and e.status == "fail" for e in rep.entries)
+
+
+def test_check_form_checks_an_f_whose_e_is_absent(a1, cyc3):
+    # Contravariance pairs E with F, so an F stored without its E must fail.
+    M, b = build_smax_with_form(a1, cyc3, (3,))
+    assert len(M.eops) == 6
+    for key in sorted(M.eops):
+        eops = dict(M.eops)
+        del eops[key]
+        rep = check_form(replace(M, eops=eops), b)
+        assert [(e.check, e.weight, e.witness) for e in rep.failures()] == \
+            [("form-contravariant", key[0], f"alpha={key[1]} n={key[2]}")], key

@@ -222,6 +222,37 @@ def test_malformed_files_exit_2(runner, tmp_path, golden, corrupt, error):
         assert isinstance(res.exception, SystemExit)
 
 
+def _zeroed_e_copy(offset):
+    """Insert a zeroed copy of the first E record before (0) or after (1) it."""
+    def corrupt(d):
+        i = next(i for i, op in enumerate(d["operators"]) if op["kind"] == "E")
+        op = d["operators"][i]
+        d["operators"].insert(i + offset, {**op, "entries": [["0"] * len(r) for r in op["entries"]]})
+    return corrupt
+
+
+def _weight_twice(d):
+    d["weights"].append(dict(d["weights"][0]))
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(_zeroed_e_copy(0), id="zeroed_e_first"),
+    pytest.param(_zeroed_e_copy(1), id="zeroed_e_last"),
+    pytest.param(_weight_twice, id="weight_twice"),
+])
+def test_duplicate_records_exit_2(runner, tmp_path, corrupt):
+    # Keeping the last of two records made check pass or fail with their order.
+    obj = _golden_dict(_CYC3_OBJ)
+    corrupt(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(SerializeError, match="duplicate"):
+        load_xobject(bad.read_text())
+    res = runner.invoke(main, ["check", str(bad)])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output and "duplicate" in res.output
+
+
 def test_check_refuses_a_ring_prime_too_large(runner, tmp_path):
     obj = _golden_dict("a2_smin_int3_w11.json")
     obj["ring"] = "int:10000000000000000000000013"  # a 26-digit prime
