@@ -37,10 +37,10 @@ def _field(d: object, key: str, kind: type = object):
 
 
 def _int(x: object) -> int:
-    try:
-        return int(x)
-    except (TypeError, ValueError):
-        raise SerializeError(f"expected an integer, got {x!r}") from None
+    """A JSON integer: no float, string or bool stands in for one."""
+    if type(x) is not int:
+        raise SerializeError(f"expected an integer, got {x!r}")
+    return x
 
 
 def _ints(x: object) -> tuple[int, ...]:
@@ -110,7 +110,7 @@ def _check_header(d: object, fmt: str, what: str) -> None:
     got = d.get("format") if isinstance(d, dict) else None
     if got != fmt:
         raise SerializeError(f"not {what} (format={got!r})")
-    if d.get("version") != VERSION:
+    if type(d.get("version")) is not int or d["version"] != VERSION:
         raise SerializeError(f"unsupported version {d.get('version')!r}")
 
 
@@ -141,7 +141,7 @@ def xobject_from_dict(d: dict) -> XObject:
         if mu not in spaces or up not in spaces:
             raise SerializeError(f"operator at {mu} touches a zero weight space")
         r_mu, r_up = spaces[mu], spaces[up]
-        kind = _field(op, "kind")
+        kind = _field(op, "kind", str)
         shape = (r_up, r_mu) if kind == "E" else (r_mu, r_up)
         mat = _mat_from_entries(ring, shape[0], shape[1], _field(op, "entries"))
         table = {"E": eops, "F": fops}.get(kind)
@@ -174,6 +174,8 @@ def form_from_dict(d: dict, M: XObject) -> dict[Weight, Mat]:
     out: dict[Weight, Mat] = {}
     for w in _field(d, "weights", list):
         coords = _ints(_field(w, "coords"))
+        if coords in out:
+            raise SerializeError(f"duplicate weight record {coords}")
         r = M.rank(coords)
         out[coords] = _mat_from_entries(ring, r, r, _field(w, "gram"))
     return out

@@ -28,8 +28,9 @@ and on hand-built or deserialized objects alike.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .linalg import Mat, hstack, vstack
@@ -79,7 +80,8 @@ class XObject:
     ``spaces`` maps a weight to its (positive) rank; weights in ``region``
     but not in ``spaces`` have rank zero.  ``eops[(mu, a, n)]`` has shape
     rank(mu + n*alpha_a) x rank(mu) and ``fops[(mu, a, n)]`` the transpose
-    shape.  Objects are immutable; every operation returns a new object.
+    shape.  Objects are immutable; every operation returns a new object, so
+    the support index that ``ladder`` reads is built once per object.
     """
 
     ring: GroundRing
@@ -114,46 +116,31 @@ class XObject:
             return m
         return Mat.zero(self.ring, self.rank(mu), self.rank(self.rs.add_root(mu, a, n)))
 
+    @cached_property
+    def _strings(self) -> tuple[dict[Weight, tuple[int, ...]], ...]:
+        """Per simple root a, the alpha_a-strings of the support: the base
+        mu - p*alpha_a with p = mu[a] // 2 keys the sorted positions p of
+        its supported weights (alpha_a has coordinate 2 at a, so the base is
+        the same for every weight of one string and for no other)."""
+        out = []
+        for a in range(self.rs.rank):
+            strings: dict[Weight, list[int]] = {}
+            for mu in self.spaces:
+                p = mu[a] // 2
+                strings.setdefault(self.rs.add_root(mu, a, -p), []).append(p)
+            out.append({base: tuple(sorted(pos)) for base, pos in strings.items()})
+        return tuple(out)
+
     def ladder(self, mu: Weight, a: int) -> list[int]:
         """Sorted n > 0 with rank(mu + n*alpha_a) > 0."""
-        out = []
-        alpha = self.rs.simple_root(a)
-        for nu, r in self.spaces.items():
-            diff = tuple(x - y for x, y in zip(nu, mu))
-            n = _root_multiple(diff, alpha)
-            if n is not None and n > 0:
-                out.append(n)
-        return sorted(out)
+        p = mu[a] // 2
+        pos = self._strings[a].get(self.rs.add_root(mu, a, -p), ())
+        return [q - p for q in pos[bisect_right(pos, p):]]
 
     def max_op_index(self) -> int:
         """Support bound: the largest n for which any operator can be nonzero."""
-        best = 0
-        for a in range(self.rs.rank):
-            for mu in self.spaces:
-                lad = self.ladder(mu, a)
-                if lad:
-                    best = max(best, lad[-1])
-        return best
-
-
-def _root_multiple(diff: Weight, alpha: Weight) -> int | None:
-    """n with diff == n*alpha, or None."""
-    n = None
-    for d, a in zip(diff, alpha):
-        if a == 0:
-            if d != 0:
-                return None
-        else:
-            if d % a != 0:
-                return None
-            q = d // a
-            if n is None:
-                n = q
-            elif q != n:
-                return None
-    if n is None:
-        n = 0 if all(d == 0 for d in diff) else None
-    return n
+        return max((pos[-1] - pos[0] for strings in self._strings
+                    for pos in strings.values()), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +241,9 @@ def _word(M: XObject, src: Weight, word) -> Value:
     A factor (kind, a, n, out) is E_{a,n} or F_{a,n} (kind "E" or "F") from
     the current weight to out.  A degree-0 factor is skipped, an absent one
     makes the composite zero with no matmul, a lone stored factor comes back
-    as it is, and only a word of identities gives a built identity.  Shapes are checked as ``@`` checks them, each factor
-    against the one before, an identity or an absent operator taking the
-    shape its endpoint ranks give.
+    as it is, and only a word of identities gives a built identity.  Shapes
+    are checked as ``@`` checks them, each factor against the one before, an
+    identity or an absent operator taking the shape its endpoint ranks give.
     """
     w, rows, cols, prod, zero = src, None, None, None, False
     for kind, a, n, out in word:
@@ -579,7 +566,8 @@ def _x2_failures(M: XObject):
     The bottom weight mu must lie in the closed set the object is defined
     on (the upward closure of its region: restrictions to smaller closed
     sets drop the identities below them), and the source mu + n*alpha_b and
-    target mu + m*alpha_a must both be supported, else every term vanishes.
+    target mu + m*alpha_a must both be supported, else every term vanishes:
+    m runs over the ladder of mu along alpha_a.
 
     Each identity compares the word E_{a,m} F_{b,n} exactly against the
     normal-ordered side, both evaluated by ``_word``.  The loop runs over
@@ -587,7 +575,6 @@ def _x2_failures(M: XObject):
     the current source only: a word shared by the identities
     (mu + r*alpha, m - r, n - r) is evaluated once.
     """
-    supp = M.spaces
     rs = M.rs
     bound = 2 * M.max_op_index() + 2
     in_index: dict[Weight, bool] = {}
@@ -601,19 +588,19 @@ def _x2_failures(M: XObject):
             in_index[mu] = hit
         return hit
 
-    for src in supp:
+    for src in M.spaces:
         # Every product on src is keyed by src, so the memo is cleared here.
         memo: dict = {}
         for b in range(rs.rank):
             for n in range(1, bound):
                 mu = rs.add_root(src, b, -n)
                 if not index_member(mu):
-                    continue
+                    break  # the index set is closed upward, and mu falls with n
                 for a in range(rs.rank):
-                    for m in range(1, bound):
+                    for m in M.ladder(mu, a):
+                        if m >= bound:
+                            break
                         tgt = rs.add_root(mu, a, m)
-                        if tgt not in supp:
-                            continue
                         lhs = _word(M, src, (("F", b, n, mu), ("E", a, m, tgt)))
                         if not _same(lhs, _commutation_rhs(M, mu, a, b, m, n, src, tgt, memo)):
                             yield mu, a, b, m, n, src
@@ -671,14 +658,12 @@ def verify_relations(M: XObject) -> Report:
         rep.add("commutation", mu, False, f"alpha={a} beta={b} m={m} n={n}")
     rep.close("commutation")
 
-    bound = M.max_op_index() + 1
     for mu in sorted(M.spaces):
         for a in range(rs.rank):
-            for n in range(1, bound):
-                for m in range(1, bound - n + 1):
+            lad = M.ladder(mu, a)
+            for n in range(1, lad[-1] if lad else 0):
+                for m in (k - n for k in lad if k > n):
                     top = rs.add_root(mu, a, m + n)
-                    if top not in M.spaces:
-                        continue
                     coeff = _qb(ring, m + n, n, rs.d[a])
                     mid = rs.add_root(mu, a, n)
                     low = rs.add_root(mu, a, m)

@@ -7,7 +7,10 @@ shared between identities.  The kernel (``xcat._commutation_rhs``) must give
 the same matrix for every X2 instance and every hat block, and a corrupted
 object must fail the checks exactly as the reference says.
 ``_reference_dp_serre`` does the same for the divided-power and Serre
-relations of ``verify_relations``.
+relations of ``verify_relations``.  The X2 loop must evaluate exactly the
+identities ``_reference_instances`` lists, and both references take their
+support bound from a scan of every supported weight (``test_xcat``), not
+from the object's string index.
 """
 
 import hashlib
@@ -18,9 +21,10 @@ from pathlib import Path
 
 import pytest
 
+from qtilt import xcat
 from qtilt.linalg import Mat, hstack, vstack
 from qtilt.ring import generic_field, parse_ring
-from qtilt.rootsys import dominance_leq, root_system
+from qtilt.rootsys import dominance_leq, root_system, weights_below
 from qtilt.xcat import (
     _commutation_rhs,
     _delta_index,
@@ -29,8 +33,11 @@ from qtilt.xcat import (
     build_smax,
     check_axioms,
     hat_matrices,
+    restrict,
     verify_relations,
 )
+
+from test_xcat import scan_max_op_index
 
 OUTCOMES = Path(__file__).resolve().parent / "x2_corruption_outcomes.json"
 
@@ -81,9 +88,10 @@ def _weights_and_frontier(M):
 
 def _reference_instances(M):
     """(mu, a, b, m, n, src, tgt) for every X2 identity, in the order of
-    ``_x2_failures``, with the index set read off ``dominance_leq``."""
+    ``_x2_failures``, with the index set read off ``dominance_leq`` and the
+    support bound off a scan of every supported weight."""
     rs = M.rs
-    bound = 2 * M.max_op_index() + 2
+    bound = 2 * scan_max_op_index(M) + 2
     for src in M.spaces:
         for b in range(rs.rank):
             for n in range(1, bound):
@@ -110,7 +118,7 @@ def _reference_dp_serre(M):
     matrices of eop/fop, identities and zero matrices included."""
     ring, rs = M.ring, M.rs
     out = []
-    bound = M.max_op_index() + 1
+    bound = scan_max_op_index(M) + 1
     for mu in sorted(M.spaces):
         for a in range(rs.rank):
             for n in range(1, bound):
@@ -172,6 +180,47 @@ def test_kernel_matches_reference_on_every_x2_instance(root, ring, lam):
         assert got == _reference_rhs(M, *inst), inst
         count += 1
     assert count > 0
+
+
+def _restricted(root, lam):
+    M = _build(root, "cyc:3", lam)
+    order = weights_below(M.rs, lam)
+    return restrict(M, order[:len(order) // 2])
+
+
+def _deep_region(root, lam, depth):
+    """The smax build with rank-0 weights added down to depth simple roots
+    below its region: its index set reaches past both cuts of the X2 loop
+    at twice the support bound."""
+    M = _build(root, "cyc:3", lam)
+    rs = M.rs
+    region = set(M.region)
+    for _ in range(depth):
+        region |= {rs.add_root(mu, i, -1) for mu in region for i in range(rs.rank)}
+    return replace(M, region=frozenset(region))
+
+
+@pytest.mark.parametrize("M", [
+    *[pytest.param(_build(*obj), id=_ids(obj)) for obj in OBJECTS],
+    *[pytest.param(_restricted(root, lam), id=f"{_ids((root, 'cyc:3', lam))}-restricted")
+      for root, lam in (("A1", (8,)), ("A2", (2, 1)), ("B2", (1, 1)))],
+    pytest.param(_deep_region("A1", (2,), 6), id="A1-cyc:3-2-deep"),
+    pytest.param(_deep_region("B2", (0, 1), 4), id="B2-cyc:3-0,1-deep"),
+])
+def test_x2_loop_evaluates_exactly_the_reference_instances(M, monkeypatch):
+    # Every identity the X2 loop evaluates, in order, is one the reference
+    # lists, and it evaluates all of them.
+    calls = []
+
+    def recording(M, mu, a, b, m, n, src, tgt, memo):
+        calls.append((mu, a, b, m, n, src, tgt))
+        return _commutation_rhs(M, mu, a, b, m, n, src, tgt, memo)
+
+    monkeypatch.setattr(xcat, "_commutation_rhs", recording)
+    failures = list(_x2_failures(M))
+    assert calls == list(_reference_instances(M))
+    assert calls
+    assert failures == _reference_failures(M)
 
 
 @pytest.mark.parametrize("root, ring, lam", OBJECTS, ids=map(_ids, OBJECTS))

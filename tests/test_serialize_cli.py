@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import sys
@@ -7,8 +8,9 @@ import pytest
 from click.testing import CliRunner
 
 from qtilt.cli import main
-from qtilt.forms import build_smax_with_form
+from qtilt.forms import FormError, build_smax_with_form, check_form
 from qtilt.ring import RingError, parse_ring
+from qtilt.rootsys import RootSystemError, root_system
 from qtilt.serialize import (
     SerializeError,
     dump_form,
@@ -16,7 +18,7 @@ from qtilt.serialize import (
     load_form,
     load_xobject,
 )
-from qtilt.xcat import build_smax, build_smin, character
+from qtilt.xcat import XCatError, build_smax, build_smin, character, check_axioms
 
 
 def test_xobject_roundtrip(a2, cyc3):
@@ -190,6 +192,34 @@ def _first_entry(text):
     return corrupt
 
 
+def _ints_as(convert):
+    """Replace each integer of the weight and operator records (coordinates,
+    ranks, operator indices) by convert(x).  Each file made so loaded as the
+    original did while the loaders converted numbers with int()."""
+    def walk(x):
+        if type(x) is int:
+            return convert(x)
+        if isinstance(x, list):
+            return [walk(y) for y in x]
+        if isinstance(x, dict):
+            return {k: walk(v) for k, v in x.items()}
+        return x
+
+    def corrupt(d):
+        for key in ("weights", "operators"):
+            if key in d:
+                d[key] = walk(d[key])
+    return corrupt
+
+
+def _weight_twice(d):
+    d["weights"].append(dict(d["weights"][0]))
+
+
+def _version_true(d):
+    d["version"] = True
+
+
 _CYC3_OBJ = "a1_smax_cyc3_w3.json"
 
 
@@ -200,6 +230,14 @@ _CYC3_OBJ = "a1_smax_cyc3_w3.json"
     pytest.param("a2_smin_int3_w11.json", _first_entry("abc"), RingError, id="abc_int3"),
     pytest.param(_CYC3_OBJ, _first_entry("1/0"), RingError, id="one_over_zero_cyc3"),
     pytest.param(_CYC3_OBJ, _first_entry("(1)/(0)"), RingError, id="zero_den_cyc3"),
+    pytest.param(_CYC3_OBJ, _ints_as(float), SerializeError, id="ints_as_floats"),
+    pytest.param(_CYC3_OBJ, _ints_as(lambda x: x + 0.5 if x > 0 else x), SerializeError,
+                 id="positive_ints_plus_half"),
+    pytest.param(_CYC3_OBJ, _ints_as(str), SerializeError, id="ints_as_strings"),
+    pytest.param(_CYC3_OBJ, _ints_as(lambda x: bool(x) if x in (0, 1) else x), SerializeError,
+                 id="ints_as_bools"),
+    pytest.param(_CYC3_OBJ, _version_true, SerializeError, id="version_true"),
+    pytest.param(_CYC3_OBJ, _weight_twice, SerializeError, id="weight_twice"),
 ])
 def test_malformed_files_exit_2(runner, tmp_path, golden, corrupt, error):
     obj = _golden_dict(golden)
@@ -231,10 +269,6 @@ def _zeroed_e_copy(offset):
     return corrupt
 
 
-def _weight_twice(d):
-    d["weights"].append(dict(d["weights"][0]))
-
-
 @pytest.mark.parametrize("corrupt", [
     pytest.param(_zeroed_e_copy(0), id="zeroed_e_first"),
     pytest.param(_zeroed_e_copy(1), id="zeroed_e_last"),
@@ -251,6 +285,74 @@ def test_duplicate_records_exit_2(runner, tmp_path, corrupt):
     res = runner.invoke(main, ["check", str(bad)])
     assert res.exit_code == 2, res.output
     assert "error:" in res.output and "duplicate" in res.output
+
+
+def test_non_string_operator_kind_exits_2(runner, tmp_path):
+    # An unhashable kind used to reach a dict lookup and give a traceback.
+    obj = _golden_dict(_CYC3_OBJ)
+    assert obj["operators"][2]["kind"] == "E"  # a square block: the shape fits either kind
+    obj["operators"][2]["kind"] = {"x": 1}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(SerializeError, match="kind"):
+        load_xobject(bad.read_text())
+    res = runner.invoke(main, ["check", str(bad)])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+_LIBRARY_ERRORS = (SerializeError, RingError, RootSystemError, XCatError, FormError)
+_POOL = [None, True, 0, -1, 1.5, "x", [], [[]], {}, 10**30, "s^1 * 1"]
+
+
+def _node_paths(x, path=()):
+    """The path of every node of a JSON value, the root included."""
+    yield path
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, y in items:
+        yield from _node_paths(y, path + (key,))
+
+
+def _mutants(d):
+    """d with one node replaced by one value of the pool, for every node and
+    every value."""
+    for path in _node_paths(d):
+        for value in _POOL:
+            if not path:
+                yield value
+                continue
+            out = copy.deepcopy(d)
+            parent = out
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            yield out
+
+
+@pytest.mark.parametrize("golden", [_CYC3_OBJ, "a2_smin_int3_w11.json",
+                                    "a1_smaxform_cyc3_w3.form.json"])
+def test_mutated_goldens_load_or_raise_a_library_error(golden):
+    # A mutant either loads or is refused with an error the CLI maps to
+    # exit 2; a mutant that loads is checked and must raise nothing else.
+    if golden.endswith(".form.json"):
+        M, _ = build_smax_with_form(root_system("A1"), parse_ring("cyc:3"), (3,))
+        load, check = (lambda text: load_form(text, M)), (lambda b: check_form(M, b))
+    else:
+        load, check = load_xobject, check_axioms
+    loaded = 0
+    for mutant in _mutants(_golden_dict(golden)):
+        text = json.dumps(mutant)
+        try:
+            got = load(text)
+        except _LIBRARY_ERRORS:
+            continue
+        loaded += 1
+        try:
+            check(got)
+        except _LIBRARY_ERRORS:
+            pass
+    assert loaded > 0
 
 
 def test_check_refuses_a_ring_prime_too_large(runner, tmp_path):

@@ -367,6 +367,103 @@ def test_restrict_rejects_non_closed(a1, cyc3):
 
 
 # ---------------------------------------------------------------------------
+# the support index behind ladder and max_op_index
+
+
+def scan_multiple(diff, alpha):
+    """n with diff == n*alpha, or None (a test-only root-multiple solver)."""
+    n = None
+    for d, a in zip(diff, alpha):
+        if a == 0:
+            if d != 0:
+                return None
+        else:
+            if d % a != 0:
+                return None
+            q = d // a
+            if n is None:
+                n = q
+            elif q != n:
+                return None
+    if n is None:
+        n = 0 if all(d == 0 for d in diff) else None
+    return n
+
+
+def scan_ladder(M, mu, a):
+    """ladder(mu, a) by a scan of every supported weight."""
+    alpha = M.rs.simple_root(a)
+    out = []
+    for nu in M.spaces:
+        n = scan_multiple(tuple(x - y for x, y in zip(nu, mu)), alpha)
+        if n is not None and n > 0:
+            out.append(n)
+    return sorted(out)
+
+
+def scan_max_op_index(M):
+    """max_op_index() from scan_ladder at every supported weight."""
+    return max((n for mu in M.spaces for a in range(M.rs.rank)
+                for n in scan_ladder(M, mu, a)), default=0)
+
+
+_INDEX_BUILDS = [("A1", (5,)), ("A1", (6,)), ("A2", (2, 1)), ("B2", (1, 1)),
+                 ("C3", (0, 1, 0)), ("G2", (0, 1))]
+
+
+def _hand_built(label, ranks, extra=()):
+    """An object with the given spaces, no operators, and region the
+    support plus extra (rank-0) weights; its strings have gaps."""
+    rs, ring = root_system(label), parse_ring("cyc:3")
+    return XObject(ring, rs, dict(ranks), {}, {}, frozenset(ranks) | frozenset(extra))
+
+
+_GAPPED = [
+    ("A1", {(6,): 1, (2,): 2, (0,): 1, (-6,): 3, (3,): 1, (-5,): 2}, [(4,), (-2,), (1,)]),
+    ("A2", {(2, 1): 1, (-2, 3): 1, (-4, 4): 2, (1, -1): 1, (-1, -3): 1, (5, -2): 1},
+     [(0, 2), (3, -1)]),
+    ("B2", {(1, 1): 1, (-3, 3): 2, (3, -1): 1, (-1, -1): 1, (2, 0): 1}, [(-1, 2)]),
+    ("G2", {(1, 1): 1, (-3, 4): 1, (5, -2): 2, (-1, -1): 1, (0, 3): 1}, [(1, 0)]),
+    ("C3", {(0, 1, 0): 1, (0, -1, 2): 1, (2, -1, 0): 1, (-2, 3, -2): 1}, []),
+]
+
+
+def _index_objects():
+    out = []
+    for label, lam in _INDEX_BUILDS:
+        rs, ring = root_system(label), parse_ring("cyc:3")
+        order = weights_below(rs, lam)
+        for build in (build_smin, build_smax):
+            M = build(rs, ring, lam)
+            name = f"{label}-{','.join(map(str, lam))}-{build.__name__[6:]}"
+            out += [pytest.param(M, id=name),
+                    pytest.param(restrict(M, order[:len(order) // 2]), id=f"{name}-restricted")]
+    out += [pytest.param(_hand_built(label, ranks, extra), id=f"{label}-gapped")
+            for label, ranks, extra in _GAPPED]
+    return out
+
+
+@pytest.mark.parametrize("M", _index_objects())
+def test_ladder_and_max_op_index_match_the_scan(M):
+    rs = M.rs
+    weights = M.region | {rs.add_root(mu, i, -1) for mu in M.region for i in range(rs.rank)}
+    for mu in sorted(weights):
+        for a in range(rs.rank):
+            assert M.ladder(mu, a) == scan_ladder(M, mu, a), (mu, a)
+    assert M.max_op_index() == scan_max_op_index(M)
+
+
+def test_hand_built_strings_have_gaps():
+    # The gapped objects are what the index must get right: a ladder that
+    # skips a weight, and strings of both parities along one root.
+    M = _hand_built(*_GAPPED[0])
+    assert M.ladder((-6,), 0) == [3, 4, 6]
+    assert M.ladder((-5,), 0) == [4]
+    assert M.ladder((-4,), 0) == [2, 3, 5]
+    assert M.max_op_index() == 6
+
+
+# ---------------------------------------------------------------------------
 # axioms / relations
 
 
