@@ -15,7 +15,9 @@ come back None, and the pivots and exponents are the same either way.  Each
 derived operation tracks what it reads:
 
 * none: ``rank``, ``is_unit_matrix``, ``det_valuation``, and the SNF of the
-  coordinates in ``relative_invariants``;
+  coordinates in ``relative_invariants``; so do ``xcat.weyl_multiplicities``
+  and ``xcat.maximality_certificate``, which read only the rank and the
+  exponents;
 * V: ``kernel_saturated``;
 * Uinv: ``saturation_with_invariants``, ``free_complement``;
 * U: ``relative_invariants`` (the SNF of ``sup``);

@@ -36,6 +36,14 @@ def _field(d: object, key: str, kind: type = object):
     return d[key]
 
 
+def _only(d: dict, keys: set[str], what: str) -> None:
+    """Refuse a field of d outside keys, as the schemas do
+    (``additionalProperties: false``), so a misspelt field is not ignored."""
+    if not d.keys() <= keys:
+        extra = ", ".join(map(repr, sorted(d.keys() - keys)))
+        raise SerializeError(f"unknown field(s) in {what}: {extra}")
+
+
 def _int(x: object) -> int:
     """A JSON integer: no float, string or bool stands in for one."""
     if type(x) is not int:
@@ -58,8 +66,10 @@ def _rs_descriptor(rs: RootSystem) -> dict:
 
 def _rs_from_descriptor(d: dict) -> RootSystem:
     if "label" in d:
+        _only(d, {"label"}, "the root-system descriptor")
         return root_system(_field(d, "label", str))
     if "cartan" in d:
+        _only(d, {"cartan"}, "the root-system descriptor")
         return root_system([list(_ints(row)) for row in _field(d, "cartan", list)])
     raise SerializeError("root-system descriptor needs 'label' or 'cartan'")
 
@@ -116,12 +126,15 @@ def _check_header(d: object, fmt: str, what: str) -> None:
 
 def xobject_from_dict(d: dict) -> XObject:
     _check_header(d, XOBJ_FORMAT, "an object file")
+    _only(d, {"format", "version", "ring", "root_system", "top", "weights", "operators"},
+          "the object file")
     ring = parse_ring(_field(d, "ring", str))
     rs = _rs_from_descriptor(_field(d, "root_system", dict))
     spaces: dict[Weight, int] = {}
     region = set()
     for w in _field(d, "weights", list):
         coords = _ints(_field(w, "coords"))
+        _only(w, {"coords", "rank"}, "a weight record")
         rs.check_weight(coords)
         if coords in region:
             raise SerializeError(f"duplicate weight record {coords}")
@@ -134,6 +147,7 @@ def xobject_from_dict(d: dict) -> XObject:
     eops, fops = {}, {}
     for op in _field(d, "operators", list):
         mu = _ints(_field(op, "mu"))
+        _only(op, {"kind", "mu", "alpha", "n", "entries"}, "an operator record")
         a, n = _int(_field(op, "alpha")), _int(_field(op, "n"))
         if not (0 <= a < rs.rank and n >= 1):
             raise SerializeError(f"bad operator index alpha={a} n={n}")
@@ -168,12 +182,15 @@ def form_to_dict(M: XObject, b: dict[Weight, Mat]) -> dict:
 
 def form_from_dict(d: dict, M: XObject) -> dict[Weight, Mat]:
     _check_header(d, XFORM_FORMAT, "a form file")
+    _only(d, {"format", "version", "ring", "weights"}, "the form file")
     ring = parse_ring(_field(d, "ring", str))
     if ring != M.ring:
         raise SerializeError("form ring does not match object ring")
     out: dict[Weight, Mat] = {}
     for w in _field(d, "weights", list):
         coords = _ints(_field(w, "coords"))
+        _only(w, {"coords", "gram"}, "a weight record")
+        M.rs.check_weight(coords)
         if coords in out:
             raise SerializeError(f"duplicate weight record {coords}")
         r = M.rank(coords)

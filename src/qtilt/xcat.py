@@ -81,7 +81,11 @@ class XObject:
     but not in ``spaces`` have rank zero.  ``eops[(mu, a, n)]`` has shape
     rank(mu + n*alpha_a) x rank(mu) and ``fops[(mu, a, n)]`` the transpose
     shape.  Objects are immutable; every operation returns a new object, so
-    the support index that ``ladder`` reads is built once per object.
+    the support index that ``ladder`` reads and the failed commutation
+    identities that ``check_axioms`` and ``verify_relations`` both report
+    are computed at most once per object.  ``replace``, ``restrict``, the
+    builds and the loaders all make new objects, each with empty caches; a
+    dict of an object must not be changed in place.
     """
 
     ring: GroundRing
@@ -130,6 +134,12 @@ class XObject:
                 strings.setdefault(self.rs.add_root(mu, a, -p), []).append(p)
             out.append({base: tuple(sorted(pos)) for base, pos in strings.items()})
         return tuple(out)
+
+    @cached_property
+    def _x2(self) -> tuple[tuple, ...]:
+        """The failed commutation identities, in the order ``_x2_failures``
+        yields them."""
+        return tuple(_x2_failures(self))
 
     def ladder(self, mu: Weight, a: int) -> list[int]:
         """Sorted n > 0 with rank(mu + n*alpha_a) > 0."""
@@ -611,17 +621,20 @@ def check_axioms(M: XObject) -> Report:
 
     * finiteness of the weight support and of every rank,
     * the commutation identities between raising and lowering operators for
-      every degree pair that can act nontrivially,
+      every degree pair that can act nontrivially (evaluated once per
+      object: ``verify_relations`` on the same object reads the same
+      result),
     * at every weight: raising is injective on the lowering image (checked
       by rank), the raising image of the whole space is torsion over the
       raising image of the lowering image (fraction-field rank equality),
       and the lowering image is a direct summand (empty saturation
-      exponents).
+      exponents).  E is ranked on the saturation basis of im F, which
+      spans im F over the fraction field.
     """
     rep = Report()
     rep.add("X1", None, True, f"{len(M.spaces)} weights, all ranks finite")
 
-    for mu, a, b, m, n, src in _x2_failures(M):
+    for mu, a, b, m, n, src in M._x2:
         rep.add("X2", mu, False, f"alpha={a} beta={b} m={m} n={n} source={src}")
     rep.close("X2")
 
@@ -631,7 +644,7 @@ def check_axioms(M: XObject) -> Report:
             continue
         sat_f, exps = linalg.saturation_with_invariants(f_mu)
         rank_f = sat_f.cols
-        rank_ef = linalg.rank(e_mu @ f_mu)
+        rank_ef = linalg.rank(e_mu @ sat_f)
         rank_e = linalg.rank(e_mu)
         if rank_ef != rank_f:
             rep.add("X3a", mu, False, f"rank(EF)={rank_ef} < rank(F)={rank_f}")
@@ -650,11 +663,13 @@ def verify_relations(M: XObject) -> Report:
     divided-power composition rule, and the quantized Serre relations in
     both directions.  Together these certify that the stored matrices define
     an action of the full divided-power algebra.  Each side of a relation
-    is a signed sum of operator words evaluated by ``_word``."""
+    is a signed sum of operator words evaluated by ``_word``.  The
+    commutation identities are those of X2 in ``check_axioms``, evaluated
+    once per object, whichever of the two runs first."""
     rep = Report()
     ring, rs = M.ring, M.rs
 
-    for mu, a, b, m, n, _ in _x2_failures(M):
+    for mu, a, b, m, n, _ in M._x2:
         rep.add("commutation", mu, False, f"alpha={a} beta={b} m={m} n={n}")
     rep.close("commutation")
 
@@ -739,7 +754,8 @@ def maximality_certificate(M: XObject) -> Report:
         _, e_mu, _ = delta_space(M, mu)
         if e_mu.rows == 0:
             continue
-        _, exps = linalg.saturation_with_invariants(e_mu)
+        snf = linalg.smith_normal_form(e_mu, track=())
+        exps = tuple(e for e in snf.exponents if e > 0)
         if exps:
             rep.add("maximal", mu, False, f"saturation exponents {exps}")
     rep.close("maximal")
@@ -752,10 +768,11 @@ def weyl_multiplicities(M: XObject) -> dict[Weight, int]:
     out: dict[Weight, int] = {}
     for mu in sorted(M.spaces):
         _, _, f_mu = delta_space(M, mu)
-        sat_f, exps = linalg.saturation_with_invariants(f_mu)
+        snf = linalg.smith_normal_form(f_mu, track=())
+        exps = tuple(e for e in snf.exponents if e > 0)
         if exps:
             raise XCatError(f"M_mu / im F_mu has torsion at {mu}: {exps}")
-        mult = M.rank(mu) - sat_f.cols
+        mult = M.rank(mu) - snf.rank
         if mult:
             out[mu] = mult
     return out

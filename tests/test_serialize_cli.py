@@ -220,6 +220,20 @@ def _version_true(d):
     d["version"] = True
 
 
+def _weight_of_wrong_length(d):
+    # A weight record with three coordinates on an A1 object; the form
+    # loader kept {"coords": [7, 7, 7], "gram": []}.
+    payload = {"rank": 0} if "operators" in d else {"gram": []}
+    d["weights"].append({"coords": [7, 7, 7], **payload})
+
+
+def _misspelt_field(d):
+    # A second, misspelt copy of a weight record's payload field.
+    rec = d["weights"][0]
+    key = "rank" if "rank" in rec else "gram"
+    rec[key + key[-1]] = rec[key]
+
+
 _CYC3_OBJ = "a1_smax_cyc3_w3.json"
 
 
@@ -238,6 +252,9 @@ _CYC3_OBJ = "a1_smax_cyc3_w3.json"
                  id="ints_as_bools"),
     pytest.param(_CYC3_OBJ, _version_true, SerializeError, id="version_true"),
     pytest.param(_CYC3_OBJ, _weight_twice, SerializeError, id="weight_twice"),
+    pytest.param(_CYC3_OBJ, _weight_of_wrong_length, RootSystemError,
+                 id="weight_of_wrong_length"),
+    pytest.param(_CYC3_OBJ, _misspelt_field, SerializeError, id="misspelt_field"),
 ])
 def test_malformed_files_exit_2(runner, tmp_path, golden, corrupt, error):
     obj = _golden_dict(golden)
@@ -258,6 +275,42 @@ def test_malformed_files_exit_2(runner, tmp_path, golden, corrupt, error):
         assert res.exit_code == 2, res.output
         assert "error:" in res.output
         assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("golden,path", [
+    (_CYC3_OBJ, ()), (_CYC3_OBJ, ("root_system",)), (_CYC3_OBJ, ("weights", 0)),
+    (_CYC3_OBJ, ("operators", 0)), ("a1_smaxform_cyc3_w3.form.json", ()),
+    ("a1_smaxform_cyc3_w3.form.json", ("weights", 0)),
+])
+def test_unknown_fields_exit_2(runner, tmp_path, golden, path):
+    # Every level where the schemas set additionalProperties: false.
+    good_obj = tmp_path / "obj.json"
+    good_obj.write_text(json.dumps(_golden_dict(_CYC3_OBJ)))
+    d = _golden_dict(golden)
+    node = d
+    for key in path:
+        node = node[key]
+    node["extra"] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    if golden == _CYC3_OBJ:
+        load, args = load_xobject, ["check", str(bad)]
+    else:
+        load = lambda text: load_form(text, load_xobject(good_obj.read_text()))  # noqa: E731
+        args = ["form-check", str(good_obj), str(bad)]
+    with pytest.raises(SerializeError, match="unknown field.*'extra'"):
+        load(bad.read_text())
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "unknown field" in res.output
+
+
+def test_root_system_label_and_cartan_exit_2():
+    # The schema admits exactly one of the two descriptors.
+    d = _golden_dict(_CYC3_OBJ)
+    d["root_system"]["cartan"] = [[2]]
+    with pytest.raises(SerializeError, match="unknown field"):
+        load_xobject(json.dumps(d))
 
 
 def _zeroed_e_copy(offset):
