@@ -7,7 +7,10 @@ Dominance is integer root-lattice arithmetic: with den the least positive
 integer making den * C^-1 integral (``RootSystem.lattice``), mu <= lam iff
 every entry of den * C^-1 (lam - mu) is nonnegative and divisible by den.
 Root coordinates, heights and the invariant form stay on ``Fraction``; they
-feed the Freudenthal oracle, which shares no code with dominance.
+feed the Freudenthal oracle, which shares no code with dominance.  The
+oracle pairs weights with a positive root gamma through the integer
+functional x -> sum_j x_j * d_j * c_j(gamma), read once per call from
+``root_coords(gamma)``.
 
 Convention: ``cartan[i][j]`` is the pairing of the simple root alpha_j with
 the simple coroot of alpha_i, so the fundamental coordinates of alpha_j form
@@ -365,13 +368,16 @@ def weyl_character(rs: RootSystem, lam: Weight) -> Character:
     if not rs.is_dominant(lam):
         raise RootSystemError(f"{lam} is not dominant")
     rho = rs.rho()
-    pos = rs.positive_roots()
+    # (gamma, functional): (x, gamma) = sum_j x_j * d_j * c_j(gamma), with
+    # integer root coordinates c(gamma) since gamma is a root.
+    pos = [(gamma, tuple(int(c) * d for c, d in zip(rs.root_coords(gamma), rs.d)))
+           for gamma in rs.positive_roots()]
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     norm_top = rs.inner(lam_rho, lam_rho)
-    mult: dict[Weight, Fraction] = {lam: Fraction(1)}
+    mult: dict[Weight, int] = {lam: 1}
     for mu in weights_below(rs, lam, prune_hull=True)[1:]:
-        acc = Fraction(0)
-        for gamma in pos:
+        acc = 0
+        for gamma, pair in pos:
             k = 1
             while True:
                 up = tuple(m + k * g for m, g in zip(mu, gamma))
@@ -381,7 +387,7 @@ def weyl_character(rs: RootSystem, lam: Weight) -> Character:
                     # further along gamma stays outside.
                     break
                 if m_up:
-                    acc += m_up * rs.inner(up, gamma)
+                    acc += m_up * sum(x * c for x, c in zip(up, pair))
                 k += 1
         mu_rho = tuple(a + b for a, b in zip(mu, rho))
         denom = norm_top - rs.inner(mu_rho, mu_rho)
@@ -390,8 +396,8 @@ def weyl_character(rs: RootSystem, lam: Weight) -> Character:
         m = 2 * acc / denom
         if m.denominator != 1 or m < 0:
             raise RootSystemError(f"non-integral multiplicity {m} at {mu}")
-        mult[mu] = m
-    return {mu: int(m) for mu, m in mult.items() if m > 0}
+        mult[mu] = int(m)
+    return {mu: m for mu, m in mult.items() if m > 0}
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:

@@ -83,9 +83,13 @@ class XObject:
     shape.  Objects are immutable; every operation returns a new object, so
     the support index that ``ladder`` reads and the failed commutation
     identities that ``check_axioms`` and ``verify_relations`` both report
-    are computed at most once per object.  ``replace``, ``restrict``, the
-    builds and the loaders all make new objects, each with empty caches; a
-    dict of an object must not be changed in place.
+    are computed at most once per object.  An extension step hands its
+    parent's support index to the object it makes with the new weight
+    inserted, and moves the parent's memo of the operator words that
+    ``hat_matrices`` evaluated (``_inherit``); the X2 result is never
+    handed on.  ``replace``, ``restrict`` and the loaders make new objects
+    with empty caches, and a build drops the word memo of the object it
+    returns.  A dict of an object must not be changed in place.
     """
 
     ring: GroundRing
@@ -134,6 +138,12 @@ class XObject:
                 strings.setdefault(self.rs.add_root(mu, a, -p), []).append(p)
             out.append({base: tuple(sorted(pos)) for base, pos in strings.items()})
         return tuple(out)
+
+    @cached_property
+    def _words(self) -> dict[Weight, dict]:
+        """The F.E words evaluated by ``hat_matrices``, per source weight,
+        each keyed as in ``_commutation_rhs``."""
+        return {}
 
     @cached_property
     def _x2(self) -> tuple[tuple, ...]:
@@ -346,16 +356,20 @@ def hat_matrices(M: XObject, mu: Weight) -> tuple[Mat, Mat, DeltaIndex]:
     identity and the raising matrix is assembled from the stored operators
     above mu via the commutation formula (``_commutation_rhs``), one block
     per pair of upper neighbours.  The blocks are sums of operator words
-    evaluated by ``_word``: each F.E word once per source (no two blocks
-    share one), a degree-0 factor skipped, an absent operator never built,
-    and nothing cached past one call.
+    evaluated by ``_word``, a degree-0 factor skipped and an absent operator
+    never built.  The F.E words go to the object's word memo (``_words``),
+    which extension steps hand on: the product F_{a,n} E_{a,m} on a source
+    src is the r-th term of Lusztig's sum at every weight
+    src - (n + r)*alpha_a, r >= 0, and is evaluated once per build.
     """
     index = _delta_index(M, mu)
     dr = _delta_rank(index)
     ups = [M.rs.add_root(mu, blk.alpha, blk.n) for blk in index]
+    words = M._words
     rows = []
     for rb, tgt in zip(index, ups):
-        blocks = [_commutation_rhs(M, mu, rb.alpha, cb.alpha, rb.n, cb.n, src, tgt, {})
+        blocks = [_commutation_rhs(M, mu, rb.alpha, cb.alpha, rb.n, cb.n, src, tgt,
+                                   words.setdefault(src, {}))
                   for cb, src in zip(index, ups)]
         rows.append(hstack([p if p is not None else Mat.zero(M.ring, r, c) for r, c, p in blocks]))
     ehat = vstack(rows) if rows else Mat.zero(M.ring, 0, dr)
@@ -365,6 +379,35 @@ def hat_matrices(M: XObject, mu: Weight) -> tuple[Mat, Mat, DeltaIndex]:
 # ---------------------------------------------------------------------------
 # Extension steps
 # ---------------------------------------------------------------------------
+
+
+def _inherit(M: XObject, child: XObject, mu: Weight) -> XObject:
+    """child, which is M extended at mu, with M's caches handed on.
+
+    The support index gains mu when mu is new to the support.  The word
+    memo moves from M to child, so two steps from one parent never read
+    each other's words.  A memo word on src reads only E keyed at src and
+    F keyed at its target, both supported when the word was evaluated,
+    which was before the step at mu; a step stores operators keyed at mu
+    only, so every memo word keeps its value in child.
+    """
+    cache = M.__dict__
+    words = cache.pop("_words", None)
+    if words is not None:
+        child.__dict__["_words"] = words
+    strings = cache.get("_strings")
+    if strings is not None and child.rank(mu) and not M.rank(mu):
+        grown = []
+        for a, by_base in enumerate(strings):
+            p = mu[a] // 2
+            base = M.rs.add_root(mu, a, -p)
+            pos = by_base.get(base, ())
+            i = bisect_right(pos, p)
+            grown.append({**by_base, base: pos[:i] + (p,) + pos[i:]})
+        strings = tuple(grown)
+    if strings is not None:
+        child.__dict__["_strings"] = strings
+    return child
 
 
 def _store_blocks(
@@ -383,9 +426,9 @@ def _store_blocks(
         rows = range(b.offset, b.offset + b.rank)
         eops[(mu, b.alpha, b.n)] = e_mu.take_rows(rows)
         fops[(mu, b.alpha, b.n)] = f_mu.take_cols(rows)
-    return replace(
+    return _inherit(M, replace(
         M, spaces=spaces, eops=eops, fops=fops, region=M.region | {mu}
-    )
+    ), mu)
 
 
 def _extend(M: XObject, mu: Weight, saturate: bool) -> XObject:
@@ -406,7 +449,7 @@ def _extend(M: XObject, mu: Weight, saturate: bool) -> XObject:
     snf = linalg.smith_normal_form(ehat, track=("Uinv", "Vinv"))
     r = snf.rank
     if r == 0:
-        return replace(M, region=M.region | {mu})
+        return _inherit(M, replace(M, region=M.region | {mu}), mu)
     scale = [M.ring.uniformizer() ** e if e else None for e in snf.exponents]
     raised = Mat.from_rows(M.ring, [
         [x if d is None else x * d for x, d in zip(row, scale)]
@@ -484,11 +527,13 @@ def _build(
     prune: bool, height_bound: int | None, weights: list[Weight] | None,
 ) -> XObject:
     """The build driver: the build order, the rank-1 seed at lam, then
-    ``M = step(M, mu)`` at every later weight of the order."""
+    ``M = step(M, mu)`` at every later weight of the order.  The object
+    returned carries no word memo, so its checks evaluate their own words."""
     order = _build_order(rs, lam, prune, height_bound, weights)
     M = _seed(rs, ring, lam)
     for mu in order[1:]:
         M = step(M, mu)
+    M.__dict__.pop("_words", None)
     return M
 
 

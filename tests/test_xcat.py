@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from qtilt.linalg import Mat, hstack, is_unit_matrix, rank, saturation_with_invariants, vstack
 from qtilt.ring import embed, generic_field, parse_ring, qbinom, qint
 from qtilt.rootsys import root_system, weights_below, weyl_character
-from qtilt.serialize import dump_xobject
+from qtilt.forms import build_smax_with_form, complete_nondegenerate
+from qtilt.serialize import dump_form, dump_xobject, load_xobject
 from qtilt.xcat import (
     Obstructed,
     XCatError,
@@ -880,3 +881,82 @@ def test_x3_matches_the_square_product_reference(label, lam, cyc3, monkeypatch):
             assert got == _reference_x3(X)
             failed |= {e[0] for e in got if e[2] == "fail"}
     assert failed == {"X3a", "X3b", "X3c"}
+
+
+# ---------------------------------------------------------------------------
+# caches handed on by the extension steps
+
+
+def _fresh(M):
+    """A copy of M through the serializer, with no caches."""
+    return load_xobject(dump_xobject(M))
+
+
+@pytest.mark.parametrize("label,ring,lam,explicit", [
+    ("A1", "cyc:3", (8,), False), ("A1", "int:3", (14,), False),
+    ("A2", "cyc:3", (2, 1), False), ("B2", "cyc:3", (1, 1), False),
+    ("G2", "cyc:3", (1, 0), False),
+    # Outside the hull: seven supported weights among 15, rank-0 steps
+    # between supported ones.
+    ("A2", "cyc:3", (1, 1), True)])
+def test_step_by_step_on_fresh_copies_matches_the_build(label, ring, lam, explicit):
+    # Every step runs on a copy with no word memo and no support index,
+    # so it evaluates every word itself; the builds hand both on from step
+    # to step.  The outputs are byte-identical, and the index a step hands
+    # on is the one its object would compute.
+    rs, R = root_system(label), parse_ring(ring)
+    order = (weights_below(rs, lam, prune_hull=False, height_bound=4) if explicit
+             else weights_below(rs, lam, prune_hull=True))
+    kw = {"weights": order} if explicit else {}
+    if explicit:
+        assert any(w not in build_smin(rs, R, lam, **kw).spaces for w in order[:-1])
+    for build, step in ((build_smin, minimal_extend), (build_smax, maximal_extend),
+                        (build_smax_with_form, complete_nondegenerate)):
+        M, b = seed(rs, R, lam), {lam: Mat.identity(R, 1)}
+        for mu in order[1:]:
+            if step is complete_nondegenerate:
+                M, b = step(_fresh(M), b, mu)
+            else:
+                M = step(_fresh(M), mu)
+            assert vars(M)["_strings"] == replace(M)._strings, mu
+        built = build(rs, R, lam, **kw)
+        if build is build_smax_with_form:
+            built, form = built
+            assert dump_form(M, b) == dump_form(built, form)
+        assert dump_xobject(M) == dump_xobject(built), build.__name__
+        assert "_words" not in vars(built)
+
+
+def test_replace_drops_the_word_memo(a1, cyc3):
+    # A mid-build object carries the words its steps evaluated; a replace
+    # copy with one operator scaled by the uniformizer has no memo, so its
+    # hat matrix sees the scaled operator.  A memo passed through replace
+    # would give M's hat matrix back.
+    order = weights_below(a1, (8,))
+    M = seed(a1, cyc3, (8,))
+    for mu in order[1:5]:
+        M = maximal_extend(M, mu)
+    nu = order[5]
+    ehat = hat_matrices(M, nu)[0]
+    assert (4,) in M._words
+    eops = dict(M.eops)
+    eops[((4,), 0, 1)] = eops[((4,), 0, 1)].scale(cyc3.uniformizer())
+    bad = replace(M, eops=eops)
+    assert hat_matrices(bad, nu)[0] != ehat
+    assert hat_matrices(bad, nu)[0] == hat_matrices(_fresh(bad), nu)[0]
+    assert hat_matrices(M, nu)[0] == ehat == hat_matrices(_fresh(M), nu)[0]
+    assert "_strings" not in vars(replace(M))
+
+
+def test_sibling_steps_do_not_share_words(a1, cyc3):
+    # Two steps from one parent store different spaces at (0,): rank 1 by
+    # minimal_extend and rank 2 by maximal_extend.  The next step below
+    # each evaluates its own words on (0,), so the parent's memo must not
+    # reach both children.
+    P = maximal_extend(seed(a1, cyc3, (4,)), (2,))
+    C1 = minimal_extend(P, (0,))
+    C2 = maximal_extend(P, (0,))
+    assert (C1.rank((0,)), C2.rank((0,))) == (1, 2)
+    for C in (C1, C2):
+        D = maximal_extend(C, (-2,))
+        assert dump_xobject(D) == dump_xobject(maximal_extend(_fresh(C), (-2,)))
