@@ -15,11 +15,12 @@ come back None, and the pivots and exponents are the same either way.  Each
 derived operation tracks what it reads:
 
 * none: ``rank``, ``is_unit_matrix``, ``det_valuation``, and the SNF of the
-  coordinates in ``relative_invariants``; so do ``xcat.weyl_multiplicities``
-  and ``xcat.maximality_certificate``, which read only the rank and the
-  exponents;
+  coordinates in ``relative_invariants``; so does the SNF of E_mu that an
+  ``xcat.XObject`` caches per weight, of which X3, the certificates and
+  ``xcat.weyl_multiplicities`` read only the rank and the exponents;
 * V: ``kernel_saturated``;
-* Uinv: ``saturation_with_invariants``, ``free_complement``;
+* Uinv: ``saturation_with_invariants``, ``free_complement``, and the cached
+  SNF of F_mu, whose first rank columns of Uinv are X3's saturation basis;
 * U: ``relative_invariants`` (the SNF of ``sup``);
 * U and V: ``solve_in_span``, ``inverse_unit``.
 """

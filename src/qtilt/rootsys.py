@@ -330,6 +330,8 @@ def weights_below(
     rs.check_weight(lam)
     if not prune_hull and height_bound is None:
         raise RootSystemError("an explicit height bound is required when not pruning")
+    if height_bound is not None and height_bound < 0:
+        raise RootSystemError(f"height bound must be nonnegative, got {height_bound}")
 
     def keep(mu: Weight) -> bool:
         if prune_hull:

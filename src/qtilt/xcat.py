@@ -81,15 +81,23 @@ class XObject:
     but not in ``spaces`` have rank zero.  ``eops[(mu, a, n)]`` has shape
     rank(mu + n*alpha_a) x rank(mu) and ``fops[(mu, a, n)]`` the transpose
     shape.  Objects are immutable; every operation returns a new object, so
-    the support index that ``ladder`` reads and the failed commutation
-    identities that ``check_axioms`` and ``verify_relations`` both report
-    are computed at most once per object.  An extension step hands its
-    parent's support index to the object it makes with the new weight
-    inserted, and moves the parent's memo of the operator words that
-    ``hat_matrices`` evaluated (``_inherit``); the X2 result is never
-    handed on.  ``replace``, ``restrict`` and the loaders make new objects
-    with empty caches, and a build drops the word memo of the object it
-    returns.  A dict of an object must not be changed in place.
+    what an object caches is computed at most once and lives as long as the
+    object:
+
+    * ``_strings``, the support index that ``ladder`` reads;
+    * ``_words``, the operator words that ``hat_matrices`` evaluated;
+    * ``_x2``, the failed commutation identities that ``check_axioms`` and
+      ``verify_relations`` both report;
+    * ``_local``, per weight the pair E_mu, F_mu that ``delta_space``
+      assembles and the SNF of each, read by X3, both certificates and
+      ``weyl_multiplicities``.
+
+    An extension step hands its parent's support index to the object it
+    makes with the new weight inserted, and moves the parent's word memo
+    (``_inherit``); ``_x2`` and ``_local`` are never handed on.
+    ``replace``, ``restrict``, ``direct_sum`` and the loaders make new
+    objects with empty caches, and a build drops the word memo of the
+    object it returns.  A dict of an object must not be changed in place.
     """
 
     ring: GroundRing
@@ -143,6 +151,13 @@ class XObject:
     def _words(self) -> dict[Weight, dict]:
         """The F.E words evaluated by ``hat_matrices``, per source weight,
         each keyed as in ``_commutation_rhs``."""
+        return {}
+
+    @cached_property
+    def _local(self) -> dict[Weight, _Local]:
+        """Per weight, the local pair E_mu, F_mu and its SNFs (``_Local``),
+        read by ``delta_space``, X3, both certificates and
+        ``weyl_multiplicities``."""
         return {}
 
     @cached_property
@@ -238,17 +253,53 @@ def _qb(ring: GroundRing, n: int, r: int, d: int) -> RingElem:
     return ring.from_laurent(qbinom(n, r, d))
 
 
+class _Local:
+    """The local pair at one weight mu: the delta index, the assembled
+    raising map E_mu and lowering map F_mu, and the SNF of each, taken when
+    first read.  Only the rank and exponents of E_mu's SNF are read; F_mu's
+    tracks Uinv, whose first rank columns are a basis of the saturation of
+    im F_mu.  Pivots and exponents do not depend on the tracked transforms,
+    so every reader of a rank or an exponent sees the values an untracked
+    SNF gives."""
+
+    def __init__(self, M: XObject, mu: Weight):
+        self.index = index = _delta_index(M, mu)
+        r = M.rank(mu)
+        if not index:
+            self.e, self.f = Mat.zero(M.ring, 0, r), Mat.zero(M.ring, r, 0)
+        else:
+            self.e = vstack([M.eop(mu, b.alpha, b.n) for b in index])
+            self.f = hstack([M.fop(mu, b.alpha, b.n) for b in index])
+
+    @cached_property
+    def e_snf(self) -> linalg.SmithDecomposition:
+        return linalg.smith_normal_form(self.e, track=())
+
+    @cached_property
+    def f_snf(self) -> linalg.SmithDecomposition:
+        return linalg.smith_normal_form(self.f, track=("Uinv",))
+
+
+def _local_at(M: XObject, mu: Weight) -> _Local:
+    """The local pair at mu, from the object's cache (``XObject._local``)."""
+    loc = M._local.get(mu)
+    if loc is None:
+        loc = M._local[mu] = _Local(M, mu)
+    return loc
+
+
+def _positive(snf: linalg.SmithDecomposition) -> tuple[int, ...]:
+    """The nonzero exponents of an SNF: the torsion invariants of the
+    cokernel of the decomposed matrix."""
+    return tuple(e for e in snf.exponents if e > 0)
+
+
 def delta_space(M: XObject, mu: Weight) -> tuple[DeltaIndex, Mat, Mat]:
     """The block decomposition of the upper-neighbour sum at mu, with the
     assembled column operator E_mu: M_mu -> M_dmu and row operator
-    F_mu: M_dmu -> M_mu."""
-    index = _delta_index(M, mu)
-    r = M.rank(mu)
-    if not index:
-        return index, Mat.zero(M.ring, 0, r), Mat.zero(M.ring, r, 0)
-    e_blocks = [M.eop(mu, b.alpha, b.n) for b in index]
-    f_blocks = [M.fop(mu, b.alpha, b.n) for b in index]
-    return index, vstack(e_blocks), hstack(f_blocks)
+    F_mu: M_dmu -> M_mu, assembled once per object and weight."""
+    loc = _local_at(M, mu)
+    return loc.index, loc.e, loc.f
 
 
 # An evaluated word or sum: (rows, cols, P), P None when the matrix is zero.
@@ -674,7 +725,9 @@ def check_axioms(M: XObject) -> Report:
       raising image of the lowering image (fraction-field rank equality),
       and the lowering image is a direct summand (empty saturation
       exponents).  E is ranked on the saturation basis of im F, which
-      spans im F over the fraction field.
+      spans im F over the fraction field.  The SNFs of E_mu and F_mu stay
+      in the object's local cache, where the certificates and
+      ``weyl_multiplicities`` read them.
     """
     rep = Report()
     rep.add("X1", None, True, f"{len(M.spaces)} weights, all ranks finite")
@@ -684,13 +737,14 @@ def check_axioms(M: XObject) -> Report:
     rep.close("X2")
 
     for mu in sorted(M.region):
-        _, e_mu, f_mu = delta_space(M, mu)
-        if e_mu.rows == 0 or e_mu.cols == 0:
+        loc = _local_at(M, mu)
+        if loc.e.rows == 0 or loc.e.cols == 0:
             continue
-        sat_f, exps = linalg.saturation_with_invariants(f_mu)
-        rank_f = sat_f.cols
-        rank_ef = linalg.rank(e_mu @ sat_f)
-        rank_e = linalg.rank(e_mu)
+        f_snf = loc.f_snf
+        rank_f = f_snf.rank
+        rank_ef = linalg.rank(loc.e @ f_snf.Uinv.take_cols(range(rank_f)))
+        rank_e = loc.e_snf.rank
+        exps = _positive(f_snf)
         if rank_ef != rank_f:
             rep.add("X3a", mu, False, f"rank(EF)={rank_ef} < rank(F)={rank_f}")
         if rank_ef != rank_e:
@@ -772,16 +826,24 @@ def verify_relations(M: XObject) -> Report:
 def minimality_certificate(M: XObject) -> Report:
     """At every weight, the raising image of the lowering image must equal
     the raising image of the whole space (equal fraction-field ranks and
-    empty relative invariants)."""
+    empty relative invariants).
+
+    F_mu's SNF is read first.  When F_mu is onto (rank rank(mu), every
+    exponent 0), im(E_mu F_mu) = E_mu(M_mu) = im E_mu and the weight passes
+    with no further SNF; a Weyl module is generated by its top vector, so
+    this holds at every weight of ``build_smin``.  Otherwise the relative
+    invariants of im(E_mu F_mu) in im E_mu are computed."""
     rep = Report()
     for mu in sorted(M.region):
-        _, e_mu, f_mu = delta_space(M, mu)
-        if e_mu.rows == 0:
+        loc = _local_at(M, mu)
+        if loc.e.rows == 0:
             continue
-        # e_mu @ f_mu lies in the span of e_mu, so the only LinAlgError is
+        if loc.f_snf.rank == M.rank(mu) and not any(loc.f_snf.exponents):
+            continue
+        # E_mu @ F_mu lies in the span of E_mu, so the only LinAlgError is
         # the non-torsion quotient: "fraction-field ranks differ".
         try:
-            inv = linalg.relative_invariants(e_mu @ f_mu, e_mu)
+            inv = linalg.relative_invariants(loc.e @ loc.f, loc.e)
         except linalg.LinAlgError as exc:
             rep.add("minimal", mu, False, str(exc))
             continue
@@ -796,11 +858,10 @@ def maximality_certificate(M: XObject) -> Report:
     upper-neighbour sum (empty saturation exponents)."""
     rep = Report()
     for mu in sorted(M.region):
-        _, e_mu, _ = delta_space(M, mu)
-        if e_mu.rows == 0:
+        loc = _local_at(M, mu)
+        if loc.e.rows == 0:
             continue
-        snf = linalg.smith_normal_form(e_mu, track=())
-        exps = tuple(e for e in snf.exponents if e > 0)
+        exps = _positive(loc.e_snf)
         if exps:
             rep.add("maximal", mu, False, f"saturation exponents {exps}")
     rep.close("maximal")
@@ -812,9 +873,8 @@ def weyl_multiplicities(M: XObject) -> dict[Weight, int]:
     multiplicities.  Raises when any quotient has torsion."""
     out: dict[Weight, int] = {}
     for mu in sorted(M.spaces):
-        _, _, f_mu = delta_space(M, mu)
-        snf = linalg.smith_normal_form(f_mu, track=())
-        exps = tuple(e for e in snf.exponents if e > 0)
+        snf = _local_at(M, mu).f_snf
+        exps = _positive(snf)
         if exps:
             raise XCatError(f"M_mu / im F_mu has torsion at {mu}: {exps}")
         mult = M.rank(mu) - snf.rank

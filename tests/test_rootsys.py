@@ -115,6 +115,13 @@ def test_weights_below_without_pruning_needs_bound(a1):
     assert out == [(2,), (0,), (-2,), (-4,), (-6,)]
 
 
+def test_weights_below_refuses_a_negative_height_bound(a1):
+    for prune in (True, False):
+        with pytest.raises(RootSystemError, match="height bound"):
+            weights_below(a1, (3,), prune_hull=prune, height_bound=-1)
+        assert weights_below(a1, (3,), prune_hull=prune, height_bound=0) == [(3,)]
+
+
 def test_weyl_character_sl2(a1):
     for n in range(7):
         wc = weyl_character(a1, (n,))

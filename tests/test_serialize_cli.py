@@ -582,6 +582,20 @@ def test_cli_verify_frontier_flag(runner, tmp_path):
         assert res.exit_code == 0, res.output
 
 
+@pytest.mark.parametrize("prune", [[], ["--no-prune"]])
+def test_cli_negative_height_bound_exits_2(runner, tmp_path, prune):
+    # A negative bound used to end the weight list at the top weight: the
+    # build exited 0 and wrote a one-weight object.
+    out = tmp_path / "o.json"
+    res = runner.invoke(main, ["build", "--kind", "smax", "--root", "A1",
+                               "--ring", "cyc:3", "--weight", "3", *prune,
+                               "--height-bound", "-1", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output and "height bound" in res.output
+    assert isinstance(res.exception, SystemExit)
+    assert not out.exists()
+
+
 def test_cli_no_prune_with_bound(runner, tmp_path):
     out = tmp_path / "o.json"
     res = runner.invoke(main, ["build", "--kind", "smin", "--root", "A1",
