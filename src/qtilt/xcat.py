@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .linalg import Mat, hstack, vstack
-from .ring import GroundRing, RingElem, qbinom, residue
+from .ring import GroundRing, RingElem, RingError, qbinom, residue
 from .rootsys import RootSystem, Weight, dominance_leq, weights_below
 
 __all__ = [
@@ -86,6 +86,9 @@ class XObject:
 
     * ``_strings``, the support index that ``ladder`` reads;
     * ``_words``, the operator words that ``hat_matrices`` evaluated;
+    * ``_generators_hold``, the generator certificate: whether the relations
+      on E_{a,1} and F_{a,1} hold, which imply every commutation identity
+      and every divided-power rule;
     * ``_x2``, the failed commutation identities that ``check_axioms`` and
       ``verify_relations`` both report;
     * ``_local``, per weight the pair E_mu, F_mu that ``delta_space``
@@ -94,7 +97,8 @@ class XObject:
 
     An extension step hands its parent's support index to the object it
     makes with the new weight inserted, and moves the parent's word memo
-    (``_inherit``); ``_x2`` and ``_local`` are never handed on.
+    (``_inherit``); ``_generators_hold``, ``_x2`` and ``_local`` are never
+    handed on.
     ``replace``, ``restrict``, ``direct_sum`` and the loaders make new
     objects with empty caches, and a build drops the word memo of the
     object it returns.  A dict of an object must not be changed in place.
@@ -161,10 +165,16 @@ class XObject:
         return {}
 
     @cached_property
+    def _generators_hold(self) -> bool:
+        """Whether the generator certificate holds
+        (``_generator_certificate``)."""
+        return _generator_certificate(self)
+
+    @cached_property
     def _x2(self) -> tuple[tuple, ...]:
         """The failed commutation identities, in the order ``_x2_failures``
-        yields them."""
-        return tuple(_x2_failures(self))
+        yields them; none when the generator certificate holds."""
+        return () if self._generators_hold else tuple(_x2_failures(self))
 
     def ladder(self, mu: Weight, a: int) -> list[int]:
         """Sorted n > 0 with rank(mu + n*alpha_a) > 0."""
@@ -664,10 +674,10 @@ def restrict(M: XObject, keep: list[Weight] | frozenset[Weight]) -> XObject:
 # ---------------------------------------------------------------------------
 
 
-def _x2_failures(M: XObject):
+def _x2_failures(M: XObject, unit: bool = False):
     """Yield (mu, a, b, m, n, source) for every commutation identity that
     fails, over the instances that can be nonzero and belong to the
-    object's index set.
+    object's index set; with unit, only those with m = n = 1.
 
     The bottom weight mu must lie in the closed set the object is defined
     on (the upward closure of its region: restrictions to smaller closed
@@ -682,7 +692,7 @@ def _x2_failures(M: XObject):
     (mu + r*alpha, m - r, n - r) is evaluated once.
     """
     rs = M.rs
-    bound = 2 * M.max_op_index() + 2
+    bound = 2 if unit else 2 * M.max_op_index() + 2
     in_index: dict[Weight, bool] = {}
     region = [rs.lattice_coords(w) for w in M.region]
 
@@ -712,14 +722,107 @@ def _x2_failures(M: XObject):
                             yield mu, a, b, m, n, src
 
 
+def _divided_power_failures(M: XObject, unit: bool = False):
+    """Yield (kind, mu, a, m, n) for every divided-power rule that fails:
+    E_{a,m} E_{a,n} = [m + n choose n]_{d_a} E_{a,m+n} on mu (kind "E") and
+    F_{a,m} F_{a,n} = [m + n choose n]_{d_a} F_{a,m+n} onto mu (kind "F"),
+    for every supported mu with m + n on its ladder along alpha_a; with
+    unit, only those with n = 1."""
+    ring, rs = M.ring, M.rs
+    for mu in sorted(M.spaces):
+        for a in range(rs.rank):
+            lad = M.ladder(mu, a)
+            last = lad[-1] if lad else 0
+            for n in range(1, min(last, 2) if unit else last):
+                for m in (k - n for k in lad if k > n):
+                    top = rs.add_root(mu, a, m + n)
+                    coeff = _qb(ring, m + n, n, rs.d[a])
+                    mid = rs.add_root(mu, a, n)
+                    low = rs.add_root(mu, a, m)
+                    for kind, src, word, whole in (
+                            ("E", mu, (("E", a, n, mid), ("E", a, m, top)), ("E", a, m + n, top)),
+                            ("F", top, (("F", a, n, low), ("F", a, m, mu)), ("F", a, m + n, mu))):
+                        rhs = _word(M, src, (whole,))
+                        if not _same(_word(M, src, word), _sum(ring, *rhs[:2], [(coeff, rhs)])):
+                            yield kind, mu, a, m, n
+
+
+def _well_shaped(M: XObject) -> bool:
+    """Whether every stored operator is keyed by a simple root and an index
+    n >= 1, is over M's ring and has the shape its endpoint ranks give, as
+    the loaders insist."""
+    rs, ring, rank = M.rs, M.ring, M.spaces.get
+    for kind, ops in (("E", M.eops), ("F", M.fops)):
+        for (mu, a, n), op in ops.items():
+            if n < 1 or not 0 <= a < rs.rank:
+                return False
+            low, up = rank(mu, 0), rank(rs.add_root(mu, a, n), 0)
+            if (op.rows, op.cols) != ((up, low) if kind == "E" else (low, up)):
+                return False
+            if op.ring is not ring and op.ring != ring:
+                return False
+    return True
+
+
+def _generator_certificate(M: XObject) -> bool:
+    """Whether the relations on the generators E_{a,1}, F_{a,1} hold: the
+    commutation identities with m = n = 1 over the index set of
+    ``_x2_failures``, and the divided-power rule with n = 1 at every
+    supported weight, E_{a,m} E_{a,1} = [m + 1]_{d_a} E_{a,m+1} and
+    F_{a,m} F_{a,1} = [m + 1]_{d_a} F_{a,m+1}.  An identity that raises
+    ``LinAlgError`` or ``RingError`` fails the certificate, and so does an
+    operator that is not a map between its weight spaces (``_well_shaped``),
+    which the full loops report or raise on.
+
+    When it holds, every commutation identity and every divided-power rule
+    holds, so ``check_axioms`` and ``verify_relations`` need not evaluate
+    them.  The argument needs quantum characteristic 0: every quantum
+    factorial [k]_d! is nonzero in the fraction field K of the ring.  All
+    four ring kinds have it (v is an indeterminate, or v = 1 over a field
+    of characteristic 0); a ring kind without it must not take this
+    shortcut.  Over K:
+
+    * by induction on m, the n = 1 rule gives E_{a,m} = E_{a,1}^m / [m]_{d_a}!
+      and F_{a,m} = F_{a,1}^m / [m]_{d_a}! at every weight (on an
+      unsupported weight both sides are maps from or to a zero space), and
+      the rule for every (m, n) follows;
+    * with the divided powers written so, Lusztig's formula for
+      E_{a,m} F_{b,n} (Lusztig, Geom. Dedicata 35, 1990) follows from
+      [E_{a,1}, F_{b,1}] = delta_ab [K_a; 0], by moving one E_{a,1} past
+      one F_{b,1} at a time.  On the source mu + n*alpha_b of the identity
+      with bottom weight mu, each move is an m = n = 1 identity whose
+      bottom weight, the weight its F reaches, is mu plus a nonnegative
+      combination of alpha_a and alpha_b.  That weight is >= mu, so it
+      lies in the index set, which is closed upward, and the identity there
+      was checked (or both of its sides are maps from or to a zero space).
+
+    The weight spaces are free modules over a domain and embed in their
+    K-spans, so an identity that holds over K holds over the ring.
+    """
+    try:
+        if next(_x2_failures(M, unit=True), None) is not None:
+            return False
+        if next(_divided_power_failures(M, unit=True), None) is not None:
+            return False
+    except (linalg.LinAlgError, RingError):
+        return False
+    return _well_shaped(M)
+
+
 def check_axioms(M: XObject) -> Report:
     """Check the three structural axioms from the stored matrices.
 
     * finiteness of the weight support and of every rank,
     * the commutation identities between raising and lowering operators for
-      every degree pair that can act nontrivially (evaluated once per
-      object: ``verify_relations`` on the same object reads the same
-      result),
+      every degree pair that can act nontrivially, decided once per object
+      (``verify_relations`` on the same object reads the same result).  By
+      the generator theorem, the identities with m = n = 1 and the
+      divided-power rule with n = 1 imply all of them when every quantum
+      factorial is nonzero in the fraction field (quantum characteristic 0,
+      which all four ring kinds have; a ring kind without it must not take
+      this shortcut).  So the generator certificate
+      (``_generator_certificate``) is evaluated first; only when it fails
+      are all identities evaluated, which names the failed ones,
     * at every weight: raising is injective on the lowering image (checked
       by rank), the raising image of the whole space is torsion over the
       raising image of the lowering image (fraction-field rank equality),
@@ -763,8 +866,18 @@ def verify_relations(M: XObject) -> Report:
     both directions.  Together these certify that the stored matrices define
     an action of the full divided-power algebra.  Each side of a relation
     is a signed sum of operator words evaluated by ``_word``.  The
-    commutation identities are those of X2 in ``check_axioms``, evaluated
-    once per object, whichever of the two runs first."""
+    commutation identities are those of X2 in ``check_axioms``, decided
+    once per object, whichever of the two runs first.
+
+    The generator theorem (``_generator_certificate``): when every quantum
+    factorial is nonzero in the fraction field (quantum characteristic 0,
+    which all four ring kinds have), the commutation identities with
+    m = n = 1 and the divided-power rule with n = 1 imply every commutation
+    identity and every divided-power rule.  When the object's generator
+    certificate holds, neither is evaluated again; when it fails, both full
+    loops run and name every failed instance.  A ring kind without that
+    hypothesis must not take this shortcut.  The Serre relations are always
+    evaluated."""
     rep = Report()
     ring, rs = M.ring, M.rs
 
@@ -772,21 +885,9 @@ def verify_relations(M: XObject) -> Report:
         rep.add("commutation", mu, False, f"alpha={a} beta={b} m={m} n={n}")
     rep.close("commutation")
 
-    for mu in sorted(M.spaces):
-        for a in range(rs.rank):
-            lad = M.ladder(mu, a)
-            for n in range(1, lad[-1] if lad else 0):
-                for m in (k - n for k in lad if k > n):
-                    top = rs.add_root(mu, a, m + n)
-                    coeff = _qb(ring, m + n, n, rs.d[a])
-                    mid = rs.add_root(mu, a, n)
-                    low = rs.add_root(mu, a, m)
-                    for kind, src, word, whole in (
-                            ("E", mu, (("E", a, n, mid), ("E", a, m, top)), ("E", a, m + n, top)),
-                            ("F", top, (("F", a, n, low), ("F", a, m, mu)), ("F", a, m + n, mu))):
-                        rhs = _word(M, src, (whole,))
-                        if not _same(_word(M, src, word), _sum(ring, *rhs[:2], [(coeff, rhs)])):
-                            rep.add(f"divided-power-{kind}", mu, False, f"alpha={a} m={m} n={n}")
+    if not M._generators_hold:
+        for kind, mu, a, m, n in _divided_power_failures(M):
+            rep.add(f"divided-power-{kind}", mu, False, f"alpha={a} m={m} n={n}")
     rep.close("divided-power", "divided-power-E", "divided-power-F")
 
     minus_one = ring.from_int(-1)

@@ -118,23 +118,26 @@ def _checker_matmuls(probe, M):
 
 
 def test_probe_counts_x2_products(probe, a1, cyc3):
-    # The commutation identities of check_axioms and verify_relations go
-    # through the wrapped Mat.__matmul__: one E.F product per identity and
-    # one F.E product per source, degree and root, none with an identity or
-    # an absent factor.  They are evaluated once per object:
-    # verify_relations after check_axioms multiplies only for its other
-    # relations, and on a fresh object it pays for the identities itself.
+    # The relations of check_axioms and verify_relations go through the
+    # wrapped Mat.__matmul__, none with an identity or an absent factor.  On
+    # a valid object they are decided by the generator certificate, once
+    # per object: the commutation identities with m = n = 1 and the
+    # divided-power rule with n = 1.  verify_relations after check_axioms
+    # multiplies only for the Serre relations (none on A1), and on a fresh
+    # object it pays for the certificate itself.  Evaluating every identity
+    # and every divided-power rule took (296, 464, 456).
     M = xcat.build_smax(a1, cyc3, (8,))
-    assert _checker_matmuls(probe, M) == (296, 464, 456)
+    assert _checker_matmuls(probe, M) == (79, 79, 71)
 
 
 def test_probe_counts_no_product_with_an_absent_operator(probe, b2, cyc3):
     # Unlike A1, B2 (1,1) has absent operators among the factors of its
     # identities, divided-power rules and Serre relations; a word with an
     # absent or a degree-0 factor multiplies nothing it need not.  The
-    # identities are evaluated once per object.
+    # generator certificate is evaluated once per object.  Evaluating every
+    # identity and every divided-power rule took (96, 172, 161).
     M = xcat.build_smin(b2, cyc3, (1, 1))
-    assert _checker_matmuls(probe, M) == (96, 172, 161)
+    assert _checker_matmuls(probe, M) == (69, 125, 114)
 
 
 def test_probe_counts_build_matmuls(probe, a1, b2, cyc3):

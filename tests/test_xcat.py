@@ -900,7 +900,7 @@ def test_x3_matches_the_square_product_reference(label, lam, cyc3, monkeypatch):
     # rank(E @ sat F) = rank(E @ F), as sat F spans im F over the fraction
     # field: every X3 entry and witness is the reference's.  X2 is not under
     # test and is skipped.
-    monkeypatch.setattr("qtilt.xcat._x2_failures", lambda M: iter(()))
+    monkeypatch.setattr("qtilt.xcat._x2_failures", lambda M, unit=False: iter(()))
     rs = root_system(label)
     failed = set()
     for build in (build_smin, build_smax):
@@ -1074,7 +1074,7 @@ def test_certificates_match_the_uncached_reference(label, ring, lam, monkeypatch
     # is onto.  Their reports, witnesses and torsion messages are the
     # reference's on a fresh object and after check_axioms took the SNFs
     # on the same object.  X2 is not under test and is skipped.
-    monkeypatch.setattr("qtilt.xcat._x2_failures", lambda M: iter(()))
+    monkeypatch.setattr("qtilt.xcat._x2_failures", lambda M, unit=False: iter(()))
     rs, R = root_system(label), parse_ring(ring)
     seen = set()
     for build in (build_smin, build_smax):
@@ -1148,3 +1148,34 @@ def test_checks_and_certificates_snf_count(a1, monkeypatch):
     assert weyl_multiplicities(M) == {(14,): 1, (2,): 1}
     counted.append(len(calls))
     assert counted == [42, 42, 42, 43]
+
+
+def test_checks_evaluate_only_the_generator_relations(a1, monkeypatch):
+    # On a valid loaded object, check_axioms and verify_relations evaluate
+    # the generator certificate once: the commutation identities with
+    # m = n = 1 (14 Lusztig sums) and the divided-power rule with n = 1
+    # (91 E words and 91 F words), and nothing of higher index.  With every
+    # identity and every divided-power rule evaluated they took 1015 sums
+    # and 910 words; over check_axioms and verify_relations on two fresh
+    # copies, 28 sums against 2030.
+    import qtilt.xcat as xcat_mod
+
+    M = _fresh(build_smax(a1, parse_ring("int:3"), (14,)))
+    sums, words = [], []
+    rhs, word = xcat_mod._commutation_rhs, xcat_mod._word
+
+    def counting_rhs(M, mu, a, b, m, n, *rest):
+        sums.append((a, b, m, n))
+        return rhs(M, mu, a, b, m, n, *rest)
+
+    def counting_word(M, src, w):
+        if len(w) == 2 and w[0][:2] == w[1][:2]:
+            words.append(tuple(f[2] for f in w))
+        return word(M, src, w)
+
+    monkeypatch.setattr(xcat_mod, "_commutation_rhs", counting_rhs)
+    monkeypatch.setattr(xcat_mod, "_word", counting_word)
+    assert check_axioms(M).ok and verify_relations(M).ok
+    assert len(sums) == 14 and set(sums) == {(0, 0, 1, 1)}
+    assert len(words) == 182 and {w[0] for w in words} == {1}
+    assert verify_relations(replace(M)).ok and len(sums) == 28
