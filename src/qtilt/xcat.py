@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .linalg import Mat, hstack, vstack
-from .ring import GroundRing, RingElem, RingError, qbinom, residue
+from .ring import GroundRing, RingElem, RingError, RingKind, qbinom, residue
 from .rootsys import RootSystem, Weight, dominance_leq, weights_below
 
 __all__ = [
@@ -764,6 +764,12 @@ def _well_shaped(M: XObject) -> bool:
     return True
 
 
+# The ring kinds of quantum characteristic 0, listed one by one: a kind
+# added later takes the full loops until it is shown to belong here.
+_QUANTUM_CHAR_0 = frozenset({RingKind.GENERIC_FIELD, RingKind.RATIONAL_FIELD,
+                             RingKind.CYCLOTOMIC_LOCAL, RingKind.INTEGER_LOCAL})
+
+
 def _generator_certificate(M: XObject) -> bool:
     """Whether the relations on the generators E_{a,1}, F_{a,1} hold: the
     commutation identities with m = n = 1 over the index set of
@@ -779,8 +785,9 @@ def _generator_certificate(M: XObject) -> bool:
     them.  The argument needs quantum characteristic 0: every quantum
     factorial [k]_d! is nonzero in the fraction field K of the ring.  All
     four ring kinds have it (v is an indeterminate, or v = 1 over a field
-    of characteristic 0); a ring kind without it must not take this
-    shortcut.  Over K:
+    of characteristic 0); the certificate fails on a kind not listed in
+    ``_QUANTUM_CHAR_0``, so such a kind always takes the full loops.
+    Over K:
 
     * by induction on m, the n = 1 rule gives E_{a,m} = E_{a,1}^m / [m]_{d_a}!
       and F_{a,m} = F_{a,1}^m / [m]_{d_a}! at every weight (on an
@@ -799,6 +806,8 @@ def _generator_certificate(M: XObject) -> bool:
     The weight spaces are free modules over a domain and embed in their
     K-spans, so an identity that holds over K holds over the ring.
     """
+    if M.ring.kind not in _QUANTUM_CHAR_0:
+        return False
     try:
         if next(_x2_failures(M, unit=True), None) is not None:
             return False
@@ -815,14 +824,13 @@ def check_axioms(M: XObject) -> Report:
     * finiteness of the weight support and of every rank,
     * the commutation identities between raising and lowering operators for
       every degree pair that can act nontrivially, decided once per object
-      (``verify_relations`` on the same object reads the same result).  By
-      the generator theorem, the identities with m = n = 1 and the
-      divided-power rule with n = 1 imply all of them when every quantum
-      factorial is nonzero in the fraction field (quantum characteristic 0,
-      which all four ring kinds have; a ring kind without it must not take
-      this shortcut).  So the generator certificate
-      (``_generator_certificate``) is evaluated first; only when it fails
-      are all identities evaluated, which names the failed ones,
+      (``verify_relations`` on the same object reads the same result).  In
+      quantum characteristic 0, which all four ring kinds have, the
+      identities with m = n = 1 and the divided-power rule with n = 1 imply
+      all of them (the generator theorem, proved at
+      ``_generator_certificate``; a kind without that hypothesis does not
+      take this shortcut).  So these are evaluated first; only when one
+      fails are all identities evaluated, which names the failed ones,
     * at every weight: raising is injective on the lowering image (checked
       by rank), the raising image of the whole space is torsion over the
       raising image of the lowering image (fraction-field rank equality),
@@ -869,15 +877,13 @@ def verify_relations(M: XObject) -> Report:
     commutation identities are those of X2 in ``check_axioms``, decided
     once per object, whichever of the two runs first.
 
-    The generator theorem (``_generator_certificate``): when every quantum
-    factorial is nonzero in the fraction field (quantum characteristic 0,
-    which all four ring kinds have), the commutation identities with
-    m = n = 1 and the divided-power rule with n = 1 imply every commutation
-    identity and every divided-power rule.  When the object's generator
-    certificate holds, neither is evaluated again; when it fails, both full
-    loops run and name every failed instance.  A ring kind without that
-    hypothesis must not take this shortcut.  The Serre relations are always
-    evaluated."""
+    In quantum characteristic 0, which all four ring kinds have, the
+    commutation identities with m = n = 1 and the divided-power rule with
+    n = 1 imply every commutation identity and every divided-power rule
+    (the generator theorem, proved at ``_generator_certificate``; a kind
+    without that hypothesis does not take this shortcut).  When they hold,
+    neither is evaluated again; otherwise both full loops run and name every
+    failed instance.  The Serre relations are always evaluated."""
     rep = Report()
     ring, rs = M.ring, M.rs
 
