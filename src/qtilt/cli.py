@@ -71,7 +71,7 @@ def _emit_counts(counts: dict[Weight, int], fmt: str) -> str:
         for wt, m in items:
             w.writerow([",".join(str(c) for c in wt), m])
         return buf.getvalue()
-    return json.dumps({",".join(str(c) for c in wt): m for wt, m in items}, indent=2) + "\n"
+    return serialize.dumps({",".join(str(c) for c in wt): m for wt, m in items})
 
 
 def run(spec: JobSpec) -> int:
@@ -155,21 +155,20 @@ def _dispatch(spec: JobSpec) -> int:
             raise XCatError("hom-extend needs two objects with the same rank-1 top weight")
         res = xcat.extend_hom_down(M, N, Mat.identity(M.ring, 1))
         if isinstance(res, Obstructed):
-            click.echo(json.dumps({
+            click.echo(serialize.dumps({
                 "status": "obstructed",
                 "weight": list(res.weight),
                 "witness": [str(res.witness[i, 0]) for i in range(res.witness.rows)],
-            }, indent=2))
+            }), nl=False)
             return 1
         payload = {
             "status": "extended",
             "maps": [
-                {"weight": list(w), "entries": [[str(e) for e in row]
-                                                for row in res[w].entries]}
+                {"weight": list(w), "entries": serialize._mat_entries(res[w])}
                 for w in sorted(res)
             ],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = serialize.dumps(payload)
         if spec.out:
             out = _outpath(spec.out)
             with open(out, "w", encoding="utf-8") as fh:

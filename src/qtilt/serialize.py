@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .linalg import Mat
-from .ring import GroundRing, parse_elem, parse_ring
+from .ring import GroundRing, RingElem, parse_elem, parse_ring
 from .rootsys import RootSystem, Weight, root_system
 from .xcat import Report, XObject
 
@@ -78,7 +78,21 @@ def _mat_entries(m: Mat) -> list[list[str]]:
     return [[str(e) for e in row] for row in m.entries]
 
 
-def _mat_from_entries(ring: GroundRing, rows: int, cols: int,
+class _Parsed(dict):
+    """The elements of one file, keyed by their exact entry string: each
+    distinct string is parsed once, and equal strings load to one (immutable)
+    element.  A string that fails to parse raises and is not stored."""
+
+    def __init__(self, ring: GroundRing):
+        super().__init__()
+        self.ring = ring
+
+    def __missing__(self, s: str) -> RingElem:
+        e = self[s] = parse_elem(s, self.ring)
+        return e
+
+
+def _mat_from_entries(parsed: _Parsed, rows: int, cols: int,
                       entries: list[list[str]]) -> Mat:
     if not isinstance(entries, list) or any(
             not isinstance(r, list) or not all(isinstance(s, str) for s in r)
@@ -86,8 +100,7 @@ def _mat_from_entries(ring: GroundRing, rows: int, cols: int,
         raise SerializeError("entry block must be a list of rows of element strings")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise SerializeError("operator entry block has the wrong shape")
-    return Mat.from_rows(
-        ring, [[parse_elem(s, ring) for s in row] for row in entries], cols=cols)
+    return Mat.from_rows(parsed.ring, [[parsed[s] for s in row] for row in entries], cols=cols)
 
 
 def xobject_to_dict(M: XObject) -> dict:
@@ -144,7 +157,7 @@ def xobject_from_dict(d: dict) -> XObject:
             raise SerializeError("negative rank")
         if r:
             spaces[coords] = r
-    eops, fops = {}, {}
+    eops, fops, parsed = {}, {}, _Parsed(ring)
     for op in _field(d, "operators", list):
         mu = _ints(_field(op, "mu"))
         _only(op, {"kind", "mu", "alpha", "n", "entries"}, "an operator record")
@@ -157,14 +170,19 @@ def xobject_from_dict(d: dict) -> XObject:
         r_mu, r_up = spaces[mu], spaces[up]
         kind = _field(op, "kind", str)
         shape = (r_up, r_mu) if kind == "E" else (r_mu, r_up)
-        mat = _mat_from_entries(ring, shape[0], shape[1], _field(op, "entries"))
+        mat = _mat_from_entries(parsed, shape[0], shape[1], _field(op, "entries"))
         table = {"E": eops, "F": fops}.get(kind)
         if table is None:
             raise SerializeError(f"bad operator kind {kind!r}")
         if (mu, a, n) in table:
             raise SerializeError(f"duplicate {kind} record at mu={mu} alpha={a} n={n}")
         table[(mu, a, n)] = mat
-    top = _ints(d["top"]) if d.get("top") is not None else None
+    top = d.get("top")
+    if top is not None:
+        top = _ints(top)
+        rs.check_weight(top)
+        if top not in region:
+            raise SerializeError(f"top weight {top} has no weight record")
     return XObject(ring, rs, spaces, eops, fops, frozenset(region), top)
 
 
@@ -187,6 +205,7 @@ def form_from_dict(d: dict, M: XObject) -> dict[Weight, Mat]:
     if ring != M.ring:
         raise SerializeError("form ring does not match object ring")
     out: dict[Weight, Mat] = {}
+    parsed = _Parsed(ring)
     for w in _field(d, "weights", list):
         coords = _ints(_field(w, "coords"))
         _only(w, {"coords", "gram"}, "a weight record")
@@ -194,7 +213,7 @@ def form_from_dict(d: dict, M: XObject) -> dict[Weight, Mat]:
         if coords in out:
             raise SerializeError(f"duplicate weight record {coords}")
         r = M.rank(coords)
-        out[coords] = _mat_from_entries(ring, r, r, _field(w, "gram"))
+        out[coords] = _mat_from_entries(parsed, r, r, _field(w, "gram"))
     return out
 
 
@@ -215,8 +234,30 @@ def report_to_dict(rep: Report) -> dict:
     }
 
 
+_str = json.encoder.encode_basestring_ascii
+
+
+def _json(x: object, pad: str) -> str:
+    """json.dumps(x, indent=2) for x nested one level deeper than pad, without
+    the pure-Python encoder that any indent selects before CPython 3.14."""
+    if type(x) is str:
+        return _str(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(x, (list, tuple)) and x:
+        return f"[\n{inner}{sep.join([_json(v, inner) for v in x])}\n{pad}]"
+    if isinstance(x, dict) and x:
+        items = sep.join([f"{_str(k)}: {_json(v, inner)}" for k, v in x.items()])
+        return f"{{\n{inner}{items}\n{pad}}}"
+    return json.dumps(x)
+
+
 def dumps(d: dict) -> str:
-    return json.dumps(d, indent=2, sort_keys=False) + "\n"
+    """The text of ``json.dumps(d, indent=2)`` plus a newline: ASCII escapes,
+    keys and records in the order given.  Keys must be strings."""
+    return _json(d, "") + "\n"
 
 
 def dump_xobject(M: XObject) -> str:

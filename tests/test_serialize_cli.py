@@ -605,3 +605,23 @@ def test_cli_no_prune_with_bound(runner, tmp_path):
     assert res.exit_code == 0, res.output
     res = runner.invoke(main, ["character", str(out)])
     assert json.loads(res.output) == {"2": 1, "0": 1, "-2": 1}
+
+
+@pytest.mark.parametrize("top,error,message", [
+    pytest.param([3, 1], RootSystemError, "wrong length", id="wrong_length"),
+    pytest.param([7], SerializeError, "top weight", id="not_a_weight_record"),
+])
+def test_malformed_top_exits_2(runner, tmp_path, top, error, message):
+    # check and character used to exit 0: the top was zipped against weights
+    # of another length, or named a weight the file does not have.
+    obj = _golden_dict(_CYC3_OBJ)
+    obj["top"] = top
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(error, match=message):
+        load_xobject(bad.read_text())
+    for command in ("check", "character"):
+        res = runner.invoke(main, [command, str(bad)])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and message in res.output
+        assert isinstance(res.exception, SystemExit)
