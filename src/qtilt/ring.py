@@ -145,7 +145,6 @@ def lp(d: dict[int, Fraction | int]) -> LaurentPoly:
 
 LP_ZERO = LaurentPoly()
 LP_ONE = LaurentPoly(0, (1,))
-LP_V = LaurentPoly(1, (1,))
 
 
 # Dense polynomials over Q for the residue fields: lists of Fractions indexed
@@ -376,10 +375,6 @@ class GroundRing:
         if self.kind is RingKind.INTEGER_LOCAL:
             return (self.param,)
         raise RingError(f"{self.descriptor()} has no uniformizer")
-
-    def q(self) -> "RingElem":
-        """The image of v under the structural map."""
-        return embed(LP_V, self)
 
     def __str__(self) -> str:
         return self.descriptor()

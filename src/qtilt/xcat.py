@@ -222,10 +222,6 @@ class Report:
         if not any(e.check in failed and e.status != "pass" for e in self.entries):
             self.add(check, None, True)
 
-    def merge(self, other: "Report") -> "Report":
-        self.entries.extend(other.entries)
-        return self
-
 
 # ---------------------------------------------------------------------------
 # Delta spaces and hat matrices
@@ -1188,6 +1184,8 @@ def _assemble_f_delta(f: HomMap, M: XObject, N: XObject, mu: Weight,
 def extend_hom_down(M: XObject, N: XObject, f_top: Mat) -> HomMap | Obstructed:
     """Extend a map given at the common top weight over the whole common
     region, processing weights downward."""
+    if M.ring != N.ring or M.rs.cartan != N.rs.cartan:
+        raise XCatError("objects must share a ring and Cartan matrix")
     if M.top is None or M.top != N.top:
         raise XCatError("objects must share a top weight")
     if M.region != N.region:

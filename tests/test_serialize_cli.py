@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 import os
 import sys
@@ -625,3 +627,89 @@ def test_malformed_top_exits_2(runner, tmp_path, top, error, message):
         assert res.exit_code == 2, res.output
         assert "error:" in res.output and message in res.output
         assert isinstance(res.exception, SystemExit)
+
+
+def _refused_invocations(command, tmp_path):
+    """Invocations of command that must be refused: a missing object file and
+    the int:3 golden with an unparsable first entry, in each object position;
+    a weight that is not dominant and one of the wrong length."""
+    missing = str(tmp_path / "missing.json")
+    bad = tmp_path / "abc.json"
+    d = _golden_dict("a2_smin_int3_w11.json")
+    _first_entry("abc")(d)
+    bad.write_text(json.dumps(d))
+    good = tmp_path / "obj.json"
+    good.write_text(json.dumps(_golden_dict(_CYC3_OBJ)))
+    form = os.path.join(os.path.dirname(__file__), "..", "docs", "golden",
+                        "a1_smaxform_cyc3_w3.form.json")
+    weights = ("--weight=-1", "--weight=1,2")
+    return {
+        "build": [["build", "--kind", "smax", "--root", "A1", "--ring", "cyc:3", w,
+                   "--out", str(tmp_path / "out.json")] for w in weights],
+        "weyl-char": [["weyl-char", "--root", "A1", w] for w in weights],
+        "form-check": [["form-check", f, form] for f in (missing, str(bad))],
+        "hom-extend": [args for f in (missing, str(bad))
+                       for args in (["hom-extend", f, str(good)], ["hom-extend", str(good), f])],
+    }.get(command, [[command, f] for f in (missing, str(bad))])
+
+
+@pytest.mark.parametrize("command", ["build", "check", "verify", "character", "weyl-mults",
+                                     "weyl-char", "form-check", "hom-extend"])
+def test_every_command_refuses_bad_input_with_exit_2(runner, tmp_path, command):
+    for args in _refused_invocations(command, tmp_path):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert "error:" in res.stderr, args
+        assert isinstance(res.exception, SystemExit), args
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["character", "weyl-mults"])
+def test_count_outputs_match_the_library(runner, command, fmt):
+    from qtilt.xcat import weyl_multiplicities
+
+    path = os.path.join(os.path.dirname(__file__), "..", "docs", "golden", _CYC3_OBJ)
+    with open(path) as fh:
+        M = load_xobject(fh.read())
+    counts = (character if command == "character" else weyl_multiplicities)(M)
+    rows = [(",".join(map(str, w)), m) for w, m in sorted(counts.items(), reverse=True)]
+    if fmt == "json":
+        expected = json.dumps(dict(rows), indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        csv.writer(buf).writerows([("weight", "multiplicity"), *rows])
+        expected = buf.getvalue()
+    res = runner.invoke(main, [command, path, "--format", fmt])
+    assert res.exit_code == 0, res.output
+    assert res.stdout_bytes == expected.encode()
+
+
+def test_cli_relative_out_dir_env_with_form(runner, tmp_path, monkeypatch):
+    # The default form path used to join a relative QTILT_OUT_DIR twice, so
+    # the build wrote the object and then failed on outdir/outdir/...
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    monkeypatch.setenv("QTILT_OUT_DIR", "outdir")
+    res = runner.invoke(main, ["build", "--kind", "smax-form", "--root", "A1",
+                               "--ring", "cyc:3", "--weight", "3", "--out", "x.json"])
+    assert res.exit_code == 0, res.output
+    assert sorted(p.name for p in (tmp_path / "outdir").iterdir()) == [
+        "x.json", "x.json.form.json"]
+    assert res.output == (f"wrote {os.path.join('outdir', 'x.json')}\n"
+                          f"wrote {os.path.join('outdir', 'x.json.form.json')}\n")
+
+
+def test_cli_hom_extend_across_rings_exits_2(runner, tmp_path):
+    # Objects over two rings used to end in a LinAlgError traceback, exit 1.
+    paths = []
+    for ring in ("cyc:3", "cyc:6"):
+        path = tmp_path / f"{ring.replace(':', '')}.json"
+        res = runner.invoke(main, ["build", "--kind", "smax", "--root", "A1",
+                                   "--ring", ring, "--weight", "3", "--out", str(path)])
+        assert res.exit_code == 0, res.output
+        paths.append(str(path))
+    res = runner.invoke(main, ["hom-extend", *paths])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.stderr
+    assert isinstance(res.exception, SystemExit)

@@ -674,6 +674,19 @@ def test_extend_hom_identity_between_smax_builds(a1, cyc3):
     assert all(is_unit_matrix(res[w]) for w in res)
 
 
+@pytest.mark.parametrize("other", [
+    pytest.param(("A1", "cyc:6", (3,)), id="rings"),
+    pytest.param(("B2", "cyc:3", (1, 0)), id="cartan"),
+])
+def test_extend_hom_down_refuses_mismatched_data(other):
+    # Objects over two rings used to reach a LinAlgError in a product.
+    root, ring, top = other
+    A = build_smax(root_system("A2" if root == "B2" else "A1"), parse_ring("cyc:3"), top)
+    B = build_smax(root_system(root), parse_ring(ring), top)
+    with pytest.raises(XCatError, match="ring and Cartan matrix"):
+        extend_hom_down(A, B, Mat.identity(A.ring, 1))
+
+
 def test_extend_hom_zero_morphism(a1, cyc3):
     A = build_smax(a1, cyc3, (3,))
     B = build_smax(a1, cyc3, (3,))
