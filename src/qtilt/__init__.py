@@ -33,7 +33,6 @@ from .ring import (
     qfact,
     qint,
     rational_field,
-    residue,
     valuation,
 )
 from .rootsys import (

@@ -51,14 +51,20 @@ def _parse_weight(s: str) -> Weight:
         raise click.UsageError(f"bad weight {s!r}: {exc}")
 
 
-def _write(path: str, text: str) -> None:
-    """Write text to path, under QTILT_OUT_DIR when path is relative."""
-    base = os.environ.get("QTILT_OUT_DIR")
-    if base and not os.path.isabs(path):
-        path = os.path.join(base, path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    click.echo(f"wrote {path}")
+def _write(*outputs: tuple[str, str]) -> None:
+    """Write each (path, text), a relative path under QTILT_OUT_DIR.  All
+    paths are checked first, so a refused path leaves no file behind."""
+    base = os.environ.get("QTILT_OUT_DIR", "")
+    outputs = [(os.path.join(base, path), text) for path, text in outputs]
+    for path, _ in outputs:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise FileNotFoundError(f"cannot write {path}: no such directory")
+    for path, text in outputs:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        click.echo(f"wrote {path}")
 
 
 def _load_object(path: str) -> xcat.XObject:
@@ -125,9 +131,10 @@ def build(kind, root, ring, weight, out, form_out, prune, height_bound, verify_f
         M, b = forms.build_smax_with_form(*args, **kw)
     if verify_frontier:
         xcat.verify_frontier(M)
-    _write(out, serialize.dump_xobject(M))
+    outputs = [(out, serialize.dump_xobject(M))]
     if b is not None:
-        _write(form_out or out + ".form.json", serialize.dump_form(M, b))
+        outputs.append((form_out or out + ".form.json", serialize.dump_form(M, b)))
+    _write(*outputs)
     return 0
 
 
@@ -215,7 +222,7 @@ def hom_extend(object_a, object_b, out):
         ],
     })
     if out:
-        _write(out, text)
+        _write((out, text))
     else:
         click.echo(text, nl=False)
     return 0

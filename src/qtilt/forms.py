@@ -91,13 +91,12 @@ def extend_form_minimal(M: XObject, b: GradedForm, mu: Weight) -> GradedForm:
     """The unique contravariant extension of b across the minimal extension
     at mu.
 
-    M may be passed either before or after the extension step; the step is
-    deterministic, so recomputing it internally yields the same matrices.
-    The Gram matrix at mu is forced: pairing two lowered vectors must equal
-    the pairing of one against the raise-then-lower image of the other.
+    M must already be extended across mu (``minimal_extend(M, mu)``).  The
+    Gram matrix at mu is forced: pairing two lowered vectors must equal the
+    pairing of one against the raise-then-lower image of the other.
     """
     if mu not in M.region:
-        M = minimal_extend(M, mu)
+        raise FormError(f"object is not extended across {mu}")
     index, e_mu, f_mu = delta_space(M, mu)
     r = M.rank(mu)
     out = dict(b)

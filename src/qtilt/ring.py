@@ -147,33 +147,6 @@ LP_ZERO = LaurentPoly()
 LP_ONE = LaurentPoly(0, (1,))
 
 
-# Dense polynomials over Q for the residue fields: lists of Fractions indexed
-# by degree, with a nonzero last entry (or the empty list for zero).
-
-
-def _poly_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    unit_lead = lead == 1 or lead == -1
-    inv_lead = lead if unit_lead else Fraction(1) / lead
-    for i in range(len(a) - len(b), -1, -1):
-        c = r[i + len(b) - 1] * inv_lead
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                r[i + j] -= c * bj
-    return _poly_trim(q), _poly_trim(r)
-
-
 def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact division in Q[v, 1/v] by a monic b; raises RingError on a
     remainder."""
@@ -359,9 +332,6 @@ class GroundRing:
                 raise RingError(f"{f} has negative {self.param}-adic valuation; not in {self}")
         return _finish(self, k, 0, n, d)
 
-    def from_laurent(self, p: LaurentPoly) -> "RingElem":
-        return embed(p, self)
-
     def uniformizer(self) -> "RingElem":
         if self.is_field:
             raise RingError(f"{self.descriptor()} has no uniformizer")
@@ -539,7 +509,7 @@ class RingElem:
             out = out * self
         return out
 
-    # -- valuation and residue -------------------------------------------
+    # -- valuation -------------------------------------------------------
 
     def valuation(self) -> int | float:
         """The discrete valuation; infinity for zero, 0 for field units."""
@@ -716,147 +686,6 @@ def to_fraction_field(x: RingElem) -> RingElem:
     # pi**k is prime to the denominator: the fraction stays reduced.
     n = zpoly.mul(x.num.c, _pi_pow(ring._pi, x.k))
     return _finish(fk, 0, x.num.shift, n, x.den.c)
-
-
-# ---------------------------------------------------------------------------
-# Residue fields
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResidueElem:
-    """Element of the residue field of a DVR kind.
-
-    ``int:p`` reduces to F_p (value: an int in [0, p)); ``cyc:l`` reduces to
-    Q[v]/(sigma_l), represented by its coefficient tuple of length
-    deg(sigma_l).
-    """
-
-    field: tuple[str, int]
-    value: int | tuple[Fraction, ...]
-
-    def is_zero(self) -> bool:
-        if isinstance(self.value, int):
-            return self.value == 0
-        return all(not c for c in self.value)
-
-    def _check(self, other: "ResidueElem") -> None:
-        if self.field != other.field:
-            raise RingError("mixed residue fields")
-
-    def __add__(self, other: "ResidueElem") -> "ResidueElem":
-        self._check(other)
-        if isinstance(self.value, int):
-            return ResidueElem(self.field, (self.value + other.value) % self.field[1])
-        return ResidueElem(
-            self.field, tuple(a + b for a, b in zip(self.value, other.value))
-        )
-
-    def __neg__(self) -> "ResidueElem":
-        if isinstance(self.value, int):
-            return ResidueElem(self.field, (-self.value) % self.field[1])
-        return ResidueElem(self.field, tuple(-a for a in self.value))
-
-    def __sub__(self, other: "ResidueElem") -> "ResidueElem":
-        return self + (-other)
-
-    def __mul__(self, other: "ResidueElem") -> "ResidueElem":
-        self._check(other)
-        if isinstance(self.value, int):
-            return ResidueElem(self.field, (self.value * other.value) % self.field[1])
-        l = self.field[1]
-        sigma = list(cyclotomic_poly(l).c)
-        prod = _poly_mul(list(self.value), list(other.value))
-        _, rem = _poly_divmod(prod, sigma)
-        rem += [Fraction(0)] * (len(sigma) - 1 - len(rem))
-        return ResidueElem(self.field, tuple(rem))
-
-    @staticmethod
-    def from_int(n: int, field: tuple[str, int]) -> "ResidueElem":
-        if field[0] == "fp":
-            return ResidueElem(field, n % field[1])
-        deg = len(cyclotomic_poly(field[1]).c) - 1
-        return ResidueElem(field, tuple([Fraction(n)] + [Fraction(0)] * (deg - 1)))
-
-    def __str__(self) -> str:
-        if isinstance(self.value, int):
-            return str(self.value)
-        return format_laurent(lp(dict(enumerate(self.value))))
-
-    __repr__ = __str__
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _reduce_mod_sigma(p: LaurentPoly, l: int) -> list[Fraction]:
-    """Reduce a Laurent polynomial modulo sigma_l, using v**l = 1 mod sigma_l."""
-    folded: dict[int, Fraction] = {}
-    for e, c in p.coeffs:
-        ee = e % l
-        folded[ee] = folded.get(ee, Fraction(0)) + c
-    dense = [Fraction(0)] * l
-    for e, c in folded.items():
-        dense[e] += c
-    sigma = list(cyclotomic_poly(l).c)
-    _, rem = _poly_divmod(_poly_trim(dense), sigma)
-    return rem
-
-
-def _invert_mod_sigma(a: list[Fraction], l: int) -> list[Fraction]:
-    """Inverse of a modulo sigma_l in Q[v] (extended Euclid)."""
-    sigma = list(cyclotomic_poly(l).c)
-    r0, r1 = list(sigma), list(a)
-    t0: list[Fraction] = []
-    t1: list[Fraction] = [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, _poly_trim(
-            [
-                (t0[i] if i < len(t0) else Fraction(0)) - c
-                for i, c in enumerate(_poly_mul(q, t1) + [Fraction(0)] * len(t0))
-            ]
-        )
-    if len(r0) != 1:
-        raise RingError("element not invertible modulo the cyclotomic polynomial")
-    inv_lead = 1 / r0[0]
-    return [c * inv_lead for c in t0]
-
-
-def residue(x: RingElem) -> ResidueElem:
-    """Image in the residue field; requires a DVR kind.
-
-    Elements of positive valuation map to zero.  The residue field is F_p for
-    ``int:p`` and the l-th cyclotomic field for ``cyc:l``.
-    """
-    ring = x.ring
-    if not ring.is_dvr:
-        raise RingError("residue is defined for DVR kinds only")
-    if ring.kind is RingKind.INTEGER_LOCAL:
-        p = ring.param
-        if x.is_zero() or x.k > 0:
-            return ResidueElem(("fp", p), 0)
-        val = x.num.c[0] * pow(x.den.c[0], -1, p) % p
-        return ResidueElem(("fp", p), val)
-    l = ring.param
-    deg = len(cyclotomic_poly(l).c) - 1
-    if x.is_zero() or x.k > 0:
-        return ResidueElem(("cyc", l), tuple([Fraction(0)] * deg))
-    num_r = _reduce_mod_sigma(x.num, l)
-    den_r = _reduce_mod_sigma(x.den, l)
-    inv = _invert_mod_sigma(den_r, l)
-    sigma = list(cyclotomic_poly(l).c)
-    _, rem = _poly_divmod(_poly_mul(num_r, inv), sigma)
-    rem += [Fraction(0)] * (deg - len(rem))
-    return ResidueElem(("cyc", l), tuple(rem))
 
 
 # ---------------------------------------------------------------------------

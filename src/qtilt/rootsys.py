@@ -155,9 +155,6 @@ class RootSystem:
     def add_root(self, mu: Weight, i: int, n: int = 1) -> Weight:
         return tuple(m + n * r for m, r in zip(mu, self._simple_roots[i]))
 
-    def zero_weight(self) -> Weight:
-        return (0,) * self.rank
-
     def rho(self) -> Weight:
         return (1,) * self.rank
 

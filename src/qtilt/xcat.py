@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .linalg import Mat, hstack, vstack
-from .ring import GroundRing, RingElem, RingError, RingKind, qbinom, residue
+from .ring import GroundRing, RingElem, RingError, RingKind, embed, qbinom, to_fraction_field
 from .rootsys import RootSystem, Weight, dominance_leq, weights_below
 
 __all__ = [
@@ -256,7 +256,7 @@ def _delta_rank(index: DeltaIndex) -> int:
 
 @lru_cache(maxsize=None)
 def _qb(ring: GroundRing, n: int, r: int, d: int) -> RingElem:
-    return ring.from_laurent(qbinom(n, r, d))
+    return embed(qbinom(n, r, d), ring)
 
 
 class _Local:
@@ -1025,48 +1025,21 @@ def _block_diag(ring: GroundRing, a: Mat, b: Mat) -> Mat:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidueTable:
-    """Residue-field shadow of an object: ranks plus entrywise residues of
-    the operator matrices (diagnostic only; residue reduction is not flat,
-    so no axiom claims are made)."""
+def base_change_to_field(M: XObject) -> XObject:
+    """Flat base change to the fraction field of ``M.ring``; ``M`` itself
+    when the ring is already a field.  Over the fraction field a maximal
+    object splits into Weyl modules."""
+    fk = M.ring.fraction_field()
+    if fk == M.ring:
+        return M
 
-    ranks: dict[Weight, int]
-    eops: dict[OpKey, list[list]]
-    fops: dict[OpKey, list[list]]
+    def conv(mat: Mat) -> Mat:
+        return Mat.from_rows(
+            fk, [[to_fraction_field(e) for e in row] for row in mat.entries],
+            cols=mat.cols)
 
-
-def base_change_to_field(M: XObject, target: str = "fraction"):
-    """Flat base change to the fraction field (returns an XObject), or the
-    residue-field rank/matrix table (returns a ResidueTable)."""
-    if target == "fraction":
-        fk = M.ring.fraction_field()
-        if fk == M.ring:
-            return M
-        from .ring import to_fraction_field
-
-        def conv(mat: Mat) -> Mat:
-            return Mat.from_rows(
-                fk, [[to_fraction_field(e) for e in row] for row in mat.entries],
-                cols=mat.cols)
-
-        return XObject(
-            fk, M.rs, dict(M.spaces),
-            {k: conv(v) for k, v in M.eops.items()},
-            {k: conv(v) for k, v in M.fops.items()},
-            M.region, M.top,
-        )
-    if target == "residue":
-        if not M.ring.is_dvr:
-            raise XCatError("residue tables need a DVR ground ring")
-        def red(mat: Mat):
-            return [[residue(e) for e in row] for row in mat.entries]
-        return ResidueTable(
-            ranks=dict(M.spaces),
-            eops={k: red(v) for k, v in M.eops.items()},
-            fops={k: red(v) for k, v in M.fops.items()},
-        )
-    raise XCatError(f"unknown base-change target {target!r}")
+    return replace(M, ring=fk, eops={k: conv(v) for k, v in M.eops.items()},
+                   fops={k: conv(v) for k, v in M.fops.items()})
 
 
 # ---------------------------------------------------------------------------

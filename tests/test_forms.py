@@ -48,11 +48,11 @@ def test_extend_form_minimal_zero_space(a1, gf):
     assert b[(-2,)].rows == 0
 
 
-def test_extend_form_minimal_accepts_unextended_object(a1, gf):
-    pre = _seed(a1, gf, (2,))
-    post = minimal_extend(pre, (0,))
-    assert extend_form_minimal(pre, {(2,): Mat.identity(gf, 1)}, (0,)) == \
-        extend_form_minimal(post, {(2,): Mat.identity(gf, 1)}, (0,))
+def test_extend_form_minimal_refuses_unextended_object(a1, gf):
+    # Without the extension step there is no space at mu to put a Gram
+    # matrix on; a silent 0x0 answer would look like a rank-0 weight.
+    with pytest.raises(FormError, match="not extended"):
+        extend_form_minimal(_seed(a1, gf, (2,)), {(2,): Mat.identity(gf, 1)}, (0,))
 
 
 def test_extend_form_minimal_field_nondegenerate(a1, a2, gf):

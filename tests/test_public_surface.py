@@ -1,0 +1,34 @@
+"""The exported names of the package resolve: a name deleted from a module
+but left in ``xcat.__all__`` or in the package imports fails here by name."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import qtilt
+from qtilt import xcat
+
+
+def _package_imports() -> list[tuple[str, str]]:
+    tree = ast.parse(Path(qtilt.__file__).read_text(encoding="utf-8"))
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def test_xcat_all_resolves():
+    assert [name for name in xcat.__all__ if not hasattr(xcat, name)] == []
+
+
+def test_package_imports_resolve():
+    imports = _package_imports()
+    assert imports
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(f"qtilt.{module}"), name)
+               or not hasattr(qtilt, name)]
+    assert missing == []
+
+
+def test_package_reexports_only_xcat_exports():
+    assert [name for module, name in _package_imports()
+            if module == "xcat" and name not in xcat.__all__] == []

@@ -26,7 +26,6 @@ from qtilt.ring import (
     qfact,
     qint,
     rational_field,
-    residue,
     to_fraction_field,
     valuation,
 )
@@ -109,7 +108,7 @@ def test_cyclotomic_poly_matches_sympy(l):
 
 
 # ---------------------------------------------------------------------------
-# ground rings: embed, valuation, residue
+# ground rings: embed, valuation
 
 
 def test_embed_cyclotomic_extracts_uniformizer(cyc3):
@@ -141,28 +140,6 @@ def test_valuation_is_discrete(cyc3, int3):
                 s = x + y
                 if not s.is_zero():
                     assert valuation(s) >= min(valuation(x), valuation(y))
-
-
-def test_residue_examples(cyc3, int5):
-    assert residue(embed(qint(3), cyc3)).is_zero()
-    r = residue(embed(qint(2), cyc3))
-    # v + 1/v reduces to -1 modulo the third cyclotomic polynomial
-    assert r.value == (Fraction(-1), Fraction(0))
-    assert residue(int5.from_fraction(Fraction(2, 3))).value == 4
-
-
-def test_residue_is_multiplicative(cyc3, int3):
-    for ring in (cyc3, int3):
-        xs = [embed(qint(n), ring) for n in (1, 2, 4, 5)]
-        for x in xs:
-            for y in xs:
-                assert residue(x * y) == residue(x) * residue(y)
-                assert residue(x + y) == residue(x) + residue(y)
-
-
-def test_residue_requires_dvr(gf):
-    with pytest.raises(RingError):
-        residue(gf.one())
 
 
 def test_genericity_certificate(gf, qq, cyc3, cyc5, int3, int5):
@@ -619,10 +596,6 @@ def test_numeric_canonical_form_matches_fraction(case):
     fk = to_fraction_field(x)
     assert fk.ring == rational_field()
     assert (fk.k, fk.num.c, fk.den.c) == (0, (fx.numerator,), (fx.denominator,))
-    if not ring.is_field:
-        p = ring.param
-        want = 0 if x.k else fx.numerator * pow(fx.denominator, -1, p) % p
-        assert residue(x).value == want
     for z, f in ((x, fx), (x + y, fx + fy)):
         text = format_elem(z)
         assert parse_elem(text, ring) == z

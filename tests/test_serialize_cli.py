@@ -700,6 +700,21 @@ def test_cli_relative_out_dir_env_with_form(runner, tmp_path, monkeypatch):
                           f"wrote {os.path.join('outdir', 'x.json.form.json')}\n")
 
 
+@pytest.mark.parametrize("form_out", ["d", os.path.join("nodir", "f.json")])
+def test_refused_form_path_writes_nothing(runner, tmp_path, monkeypatch, form_out):
+    # The object file used to be written before the form path was tried,
+    # so a refused form path left o.json behind.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    res = runner.invoke(main, ["build", "--kind", "smax-form", "--root", "A1",
+                               "--ring", "cyc:3", "--weight", "2", "--out", "o.json",
+                               "--form-out", form_out])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error:")
+    assert "wrote" not in res.output
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_cli_hom_extend_across_rings_exits_2(runner, tmp_path):
     # Objects over two rings used to end in a LinAlgError traceback, exit 1.
     paths = []

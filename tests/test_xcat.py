@@ -633,7 +633,7 @@ def test_tilting_character_weyl_symmetric(a2, cyc3):
 def test_base_change_fraction_field(a1, cyc3, int3):
     for ring in (cyc3, int3):
         T = build_smax(a1, ring, (3,))
-        K = base_change_to_field(T, "fraction")
+        K = base_change_to_field(T)
         assert K.ring == ring.fraction_field()
         assert character(K) == character(T)
         assert check_axioms(K).ok
@@ -648,17 +648,7 @@ def test_base_change_fraction_field(a1, cyc3, int3):
 
 def test_base_change_identity_on_fields(a1, gf):
     M = build_smin(a1, gf, (2,))
-    assert base_change_to_field(M, "fraction") is M
-
-
-def test_base_change_residue_table(a1, cyc3):
-    T = build_smax(a1, cyc3, (3,))
-    tab = base_change_to_field(T, "residue")
-    assert tab.ranks == dict(T.spaces)
-    key = ((1,), 0, 1)
-    assert key in tab.eops
-    with pytest.raises(XCatError):
-        base_change_to_field(build_smin(a1, generic_field(), (2,)), "residue")
+    assert base_change_to_field(M) is M
 
 
 # ---------------------------------------------------------------------------
