@@ -53,10 +53,16 @@ def _parse_weight(s: str) -> Weight:
 
 def _write(*outputs: tuple[str, str]) -> None:
     """Write each (path, text), a relative path under QTILT_OUT_DIR.  All
-    paths are checked first, so a refused path leaves no file behind."""
+    paths are checked first, so a refused path leaves no file behind; two
+    paths naming one file are refused."""
     base = os.environ.get("QTILT_OUT_DIR", "")
     outputs = [(os.path.join(base, path), text) for path, text in outputs]
+    seen: dict[str, str] = {}
     for path, _ in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise FileExistsError(f"cannot write {seen[real]} and {path}: they are one file")
+        seen[real] = path
         if os.path.isdir(path):
             raise IsADirectoryError(f"cannot write {path}: it is a directory")
         if not os.path.isdir(os.path.dirname(path) or os.curdir):

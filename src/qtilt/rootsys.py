@@ -6,11 +6,12 @@ pairing of a weight with a simple coroot is an O(1) coordinate read-off.
 Dominance is integer root-lattice arithmetic: with den the least positive
 integer making den * C^-1 integral (``RootSystem.lattice``), mu <= lam iff
 every entry of den * C^-1 (lam - mu) is nonnegative and divisible by den.
-Root coordinates, heights and the invariant form stay on ``Fraction``; they
-feed the Freudenthal oracle, which shares no code with dominance.  The
-oracle pairs weights with a positive root gamma through the integer
-functional x -> sum_j x_j * d_j * c_j(gamma), read once per call from
-``root_coords(gamma)``.
+The public root coordinates, heights and invariant form return ``Fraction``.
+The Freudenthal oracle reads them only to build two integer tables once per
+root system, and its loop runs on integers: the positive roots with their
+pairing functionals x -> (x, gamma) = sum_j x_j * d_j * c_j(gamma), and the
+Gram matrix of the form on the fundamental weights scaled by the lcm of its
+denominators.  Each multiplicity is an exact ``divmod``.
 
 Convention: ``cartan[i][j]`` is the pairing of the simple root alpha_j with
 the simple coroot of alpha_i, so the fundamental coordinates of alpha_j form
@@ -197,9 +198,13 @@ class RootSystem:
         return all(c >= 0 for c in mu)
 
     def dominant_conjugate(self, mu: Weight) -> Weight:
+        """Reflect in the first simple root with a negative coordinate until
+        none is left."""
         while True:
-            i = next((j for j, c in enumerate(mu) if c < 0), None)
-            if i is None:
+            for i, c in enumerate(mu):
+                if c < 0:
+                    break
+            else:
                 return mu
             mu = self.reflect(mu, i)
 
@@ -209,9 +214,12 @@ class RootSystem:
 
     # -- positive roots ------------------------------------------------------
 
-    def positive_roots(self) -> list[Weight]:
-        """All positive roots in fundamental coordinates, by increasing height."""
-        simple = [self.simple_root(i) for i in range(self.rank)]
+    @cached_property
+    def _positive_roots(self) -> tuple[tuple[Weight, tuple[int, ...]], ...]:
+        """Each positive root gamma, by increasing height, with the integer
+        functional x -> (x, gamma) = sum_j x_j * d_j * c_j(gamma); the root
+        coordinates c(gamma) of a root are integers."""
+        simple = self._simple_roots
         heights = {r: 1 for r in simple}
         level = list(simple)
         h = 1
@@ -234,7 +242,23 @@ class RootSystem:
                         heights[cand] = h
                         nxt.append(cand)
             level = nxt
-        return sorted(heights, key=lambda r: (heights[r], r))
+        return tuple(
+            (gamma, tuple(int(c) * d for c, d in zip(self.root_coords(gamma), self.d)))
+            for gamma in sorted(heights, key=lambda r: (heights[r], r)))
+
+    def positive_roots(self) -> list[Weight]:
+        """All positive roots in fundamental coordinates, by increasing height."""
+        return [gamma for gamma, _ in self._positive_roots]
+
+    @cached_property
+    def _gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, G): the least positive den with den * (omega_i, omega_j)
+        integral for all fundamental weights, and G = that integer matrix,
+        so den * (x, y) = x^T G y for weights x and y."""
+        omega = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
+        form = [[self.inner(x, y) for y in omega] for x in omega]
+        den = math.lcm(*(c.denominator for row in form for c in row))
+        return den, tuple(tuple(int(c * den) for c in row) for row in form)
 
     def __str__(self) -> str:
         return self.label
@@ -330,25 +354,30 @@ def weights_below(
     if height_bound is not None and height_bound < 0:
         raise RootSystemError(f"height bound must be nonnegative, got {height_bound}")
 
-    def keep(mu: Weight) -> bool:
-        if prune_hull:
-            return dominance_leq(rs, rs.dominant_conjugate(mu), lam)
-        return True
-
+    top = rs.lattice_coords(lam)
     out = [lam]
-    level = {lam}
+    level = [lam]
     h = 0
     while level:
         h += 1
         if height_bound is not None and h > height_bound:
             break
-        nxt = set()
+        # Each candidate is tested once per level, by the first parent that
+        # reaches it.  With mu in the hull and <mu, alpha_i^vee> > 0,
+        # mu - alpha_i lies between mu and s_i mu, so it is in the hull too.
+        seen = set()
+        nxt = []
         for mu in level:
-            for i in range(rs.rank):
-                cand = rs.add_root(mu, i, -1)
-                if cand not in nxt and keep(cand):
-                    nxt.add(cand)
-        out.extend(sorted(nxt))
+            for i, alpha in enumerate(rs._simple_roots):
+                cand = tuple(m - a for m, a in zip(mu, alpha))
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                if not prune_hull or mu[i] > 0 or rs.lattice_leq(
+                        rs.lattice_coords(rs.dominant_conjugate(cand)), top):
+                    nxt.append(cand)
+        nxt.sort()
+        out.extend(nxt)
         level = nxt
     return out
 
@@ -367,36 +396,58 @@ def weyl_character(rs: RootSystem, lam: Weight) -> Character:
     if not rs.is_dominant(lam):
         raise RootSystemError(f"{lam} is not dominant")
     rho = rs.rho()
-    # (gamma, functional): (x, gamma) = sum_j x_j * d_j * c_j(gamma), with
-    # integer root coordinates c(gamma) since gamma is a root.
-    pos = [(gamma, tuple(int(c) * d for c, d in zip(rs.root_coords(gamma), rs.d)))
-           for gamma in rs.positive_roots()]
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    norm_top = rs.inner(lam_rho, lam_rho)
-    mult: dict[Weight, int] = {lam: 1}
-    for mu in weights_below(rs, lam, prune_hull=True)[1:]:
+    den, gram = rs._gram
+
+    def norm(x: Weight) -> int:
+        """den * (x + rho, x + rho), an integer."""
+        y = [a + b for a, b in zip(x, rho)]
+        return sum(a * sum(g * b for g, b in zip(row, y)) for a, row in zip(y, gram))
+
+    order = weights_below(rs, lam, prune_hull=True)
+    # A weight x is keyed by the integer sum_i x_i * (2 * bound + 1)**i.
+    # Every weight looked up below is a listed weight plus a positive root,
+    # so its coordinates lie in [-bound, bound]: they are the balanced digits
+    # of its key, which is thus unique, and a step along gamma adds gamma's key.
+    bound = (max(abs(c) for x in order for c in x)
+             + max(abs(c) for gamma, _ in rs._positive_roots for c in gamma))
+    powers = [(2 * bound + 1) ** i for i in range(rs.rank)]
+
+    def key(x: Weight) -> int:
+        return sum(c * p for c, p in zip(x, powers))
+
+    # (key of gamma, functional x -> (x, gamma), (gamma, gamma)) per positive root.
+    pos = [(key(gamma), pair, sum(g * c for g, c in zip(gamma, pair)))
+           for gamma, pair in rs._positive_roots]
+    norm_top = norm(lam)
+    mult = {key(lam): 1}
+    out = [1]
+    for mu in order[1:]:
+        mu_key = key(mu)
         acc = 0
-        for gamma, pair in pos:
-            k = 1
-            while True:
-                up = tuple(m + k * g for m, g in zip(mu, gamma))
+        for gamma_key, pair, gg in pos:
+            up = mu_key + gamma_key
+            m_up = mult.get(up)
+            # None: outside the stored hull, so multiplicity zero, and going
+            # further along gamma stays outside.
+            if m_up is None:
+                continue
+            inner_up = sum(x * c for x, c in zip(mu, pair)) + gg  # (mu + k gamma, gamma)
+            while m_up is not None:
+                acc += m_up * inner_up
+                inner_up += gg
+                up += gamma_key
                 m_up = mult.get(up)
-                if m_up is None:
-                    # Outside the stored hull: multiplicity zero, and going
-                    # further along gamma stays outside.
-                    break
-                if m_up:
-                    acc += m_up * sum(x * c for x, c in zip(up, pair))
-                k += 1
-        mu_rho = tuple(a + b for a, b in zip(mu, rho))
-        denom = norm_top - rs.inner(mu_rho, mu_rho)
+        denom = norm_top - norm(mu)
         if denom == 0:
             raise RootSystemError("Freudenthal denominator vanished")
-        m = 2 * acc / denom
-        if m.denominator != 1 or m < 0:
-            raise RootSystemError(f"non-integral multiplicity {m} at {mu}")
-        mult[mu] = int(m)
-    return {mu: m for mu, m in mult.items() if m > 0}
+        # m(mu) = 2 * acc / (||lam + rho||^2 - ||mu + rho||^2), exactly.
+        m, rem = divmod(2 * den * acc, denom)
+        if rem or m < 0:
+            raise RootSystemError(
+                f"non-integral multiplicity {Fraction(2 * den * acc, denom)} at {mu}")
+        mult[mu_key] = m
+        out.append(m)
+    return {mu: m for mu, m in zip(order, out) if m > 0}
 
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:

@@ -28,6 +28,7 @@ and on hand-built or deserialized objects alike.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -256,7 +257,11 @@ def _delta_rank(index: DeltaIndex) -> int:
 
 @lru_cache(maxsize=None)
 def _qb(ring: GroundRing, n: int, r: int, d: int) -> RingElem:
-    return embed(qbinom(n, r, d), ring)
+    """The image of the quantum binomial [n choose r]_d in ring."""
+    if ring.is_laurent:
+        return embed(qbinom(n, r, d), ring)
+    # At v = 1 it is the ordinary binomial; n < 0 by upper negation.
+    return ring.from_int(math.comb(n, r) if n >= 0 else (-1) ** r * math.comb(r - n - 1, r))
 
 
 class _Local:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -140,8 +141,14 @@ def test_weyl_character_rejects_non_dominant(a2):
         weyl_character(a2, (-1, 0))
 
 
+_RANK_3_4 = [("A3", (1, 0, 1)), ("A3", (2, 1, 0)), ("B3", (1, 0, 1)), ("B3", (0, 1, 1)),
+             ("C3", (0, 1, 0)), ("C3", (1, 1, 0)), ("D4", (0, 1, 0, 0)), ("D4", (1, 0, 1, 1))]
+
+
 def test_weyl_character_weyl_group_symmetric(a2, b2, g2):
-    for rs, lam in ((a2, (2, 1)), (b2, (1, 1)), (g2, (1, 0))):
+    cases = [(a2, (2, 1)), (b2, (1, 1)), (g2, (1, 0))]
+    cases += [(root_system(lbl), lam) for lbl, lam in _RANK_3_4]
+    for rs, lam in cases:
         wc = weyl_character(rs, lam)
         for mu, m in wc.items():
             for i in range(rs.rank):
@@ -151,8 +158,94 @@ def test_weyl_character_weyl_group_symmetric(a2, b2, g2):
 def test_weyl_character_total_matches_dimension_formula(a2, b2, g2):
     cases = [(a2, (1, 0)), (a2, (1, 1)), (a2, (2, 1)),
              (b2, (1, 0)), (b2, (0, 1)), (b2, (1, 1)), (g2, (1, 0))]
+    cases += [(root_system(lbl), lam) for lbl, lam in _RANK_3_4]
     for rs, lam in cases:
         assert sum(weyl_character(rs, lam).values()) == weyl_dimension(rs, lam)
+
+
+# Reference copies of the Fraction-based weyl_character and of the
+# weights_below and dominant_conjugate it used; the integer versions must
+# agree with them exactly, list order included.
+
+def _ref_dominant_conjugate(rs, mu):
+    while True:
+        i = next((j for j, c in enumerate(mu) if c < 0), None)
+        if i is None:
+            return mu
+        mu = rs.reflect(mu, i)
+
+
+def _ref_weights_below(rs, lam, prune_hull=True, height_bound=None):
+    def keep(mu):
+        if prune_hull:
+            return dominance_leq(rs, _ref_dominant_conjugate(rs, mu), lam)
+        return True
+
+    out = [lam]
+    level = {lam}
+    h = 0
+    while level:
+        h += 1
+        if height_bound is not None and h > height_bound:
+            break
+        nxt = set()
+        for mu in level:
+            for i in range(rs.rank):
+                cand = rs.add_root(mu, i, -1)
+                if cand not in nxt and keep(cand):
+                    nxt.add(cand)
+        out.extend(sorted(nxt))
+        level = nxt
+    return out
+
+
+def _ref_weyl_character(rs, lam):
+    rho = rs.rho()
+    pos = [(gamma, tuple(int(c) * d for c, d in zip(rs.root_coords(gamma), rs.d)))
+           for gamma in rs.positive_roots()]
+    lam_rho = tuple(a + b for a, b in zip(lam, rho))
+    norm_top = rs.inner(lam_rho, lam_rho)
+    mult = {lam: 1}
+    for mu in _ref_weights_below(rs, lam, prune_hull=True)[1:]:
+        acc = 0
+        for gamma, pair in pos:
+            k = 1
+            while True:
+                up = tuple(m + k * g for m, g in zip(mu, gamma))
+                m_up = mult.get(up)
+                if m_up is None:
+                    break
+                if m_up:
+                    acc += m_up * sum(x * c for x, c in zip(up, pair))
+                k += 1
+        mu_rho = tuple(a + b for a, b in zip(mu, rho))
+        denom = norm_top - rs.inner(mu_rho, mu_rho)
+        assert denom != 0
+        m = 2 * acc / denom
+        assert m.denominator == 1 and m >= 0
+        mult[mu] = int(m)
+    return {mu: m for mu, m in mult.items() if m > 0}
+
+
+@pytest.mark.parametrize("label,top", [
+    ("A1", 3), ("A2", 3), ("A3", 3), ("A4", 3), ("B2", 3), ("B3", 3), ("B4", 3),
+    ("C3", 3), ("C4", 3), ("D4", 2), ("G2", 3), ("F4", 2)])
+def test_integer_oracle_matches_fraction_reference(label, top):
+    rs = root_system(label)
+    for lam in itertools.product(range(top + 1), repeat=rs.rank):
+        if sum(lam) > top:
+            continue
+        order = weights_below(rs, lam)
+        assert order == _ref_weights_below(rs, lam), lam
+        assert all(rs.dominant_conjugate(mu) == _ref_dominant_conjugate(rs, mu)
+                   for mu in order), lam
+        want = _ref_weyl_character(rs, lam)
+        got = weyl_character(rs, lam)
+        assert got == want and list(got) == list(want), lam
+    # The unpruned enumeration keeps its order too.
+    lam = (top,) + (0,) * (rs.rank - 1)
+    assert (weights_below(rs, lam, prune_hull=False, height_bound=4)
+            == _ref_weights_below(rs, lam, prune_hull=False, height_bound=4))
 
 
 def test_classical_dimensions(b2, g2):
@@ -175,6 +268,17 @@ def test_inner_form_symmetric_positive(a2, b2, g2):
             for y in roots:
                 assert rs.inner(x, y) == rs.inner(y, x)
             assert rs.inner(x, x) > 0
+
+
+def test_positive_roots_count_and_fresh_list():
+    counts = {"A1": 1, "A3": 6, "B3": 9, "C3": 9, "D4": 12, "G2": 6, "F4": 24, "E6": 36}
+    for lbl, n in counts.items():
+        rs = root_system(lbl)
+        roots = rs.positive_roots()
+        assert len(roots) == len(set(roots)) == n
+        assert set(roots[:rs.rank]) == {rs.simple_root(i) for i in range(rs.rank)}
+        roots.clear()
+        assert len(rs.positive_roots()) == n
 
 
 def test_dominant_conjugate(a2):

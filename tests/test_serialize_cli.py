@@ -715,6 +715,20 @@ def test_refused_form_path_writes_nothing(runner, tmp_path, monkeypatch, form_ou
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("form_out", ["o.json", os.path.join(".", "o.json")])
+def test_form_out_equal_to_out_is_refused(runner, tmp_path, monkeypatch, form_out):
+    # A form path naming the object file used to overwrite the object with
+    # the form, exit 0.
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, ["build", "--kind", "smax-form", "--root", "A1",
+                               "--ring", "cyc:3", "--weight", "2", "--out", "o.json",
+                               "--form-out", form_out])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error:")
+    assert "wrote" not in res.output
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_cli_hom_extend_across_rings_exits_2(runner, tmp_path):
     # Objects over two rings used to end in a LinAlgError traceback, exit 1.
     paths = []

@@ -44,7 +44,7 @@ from qtilt.xcat import (
     verify_relations,
     weyl_multiplicities,
 )
-from qtilt.xcat import _seed, _x2_failures
+from qtilt.xcat import _qb, _seed, _x2_failures
 
 
 def seed(rs, ring, lam):
@@ -1182,3 +1182,24 @@ def test_checks_evaluate_only_the_generator_relations(a1, monkeypatch):
     assert len(sums) == 14 and set(sums) == {(0, 0, 1, 1)}
     assert len(words) == 182 and {w[0] for w in words} == {1}
     assert verify_relations(replace(M)).ok and len(sums) == 28
+
+
+def test_qb_at_v_equal_one_is_the_ordinary_binomial():
+    # Over int:p and rational, _qb returns the ordinary binomial without
+    # building the Laurent polynomial; it must equal the embedded q-binomial.
+    rings = [parse_ring(s) for s in ("int:2", "int:3", "int:5", "rational")]
+    for d in (1, 2, 3):
+        for n in range(-30, 61):
+            for r in range(21):
+                p = qbinom(n, r, d)
+                for ring in rings:
+                    assert _qb(ring, n, r, d) == embed(p, ring), (ring, n, r, d)
+    # The Laurent kinds keep the Laurent path.
+    cyc3 = parse_ring("cyc:3")
+    for d in (1, 2, 3):
+        for n in range(-30, 61, 7):
+            for r in range(0, 21, 4):
+                assert _qb(cyc3, n, r, d) == embed(qbinom(n, r, d), cyc3), (n, r, d)
+    # The sweep filled the q-binomial caches with long polynomials.
+    qbinom.cache_clear()
+    _qb.cache_clear()
