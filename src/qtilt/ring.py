@@ -16,9 +16,8 @@ Supported ground rings:
 * ``rational``  -- the field Q with q = 1 (arises as the fraction field of
   ``int:p``).
 
-All four are generic: the image of every nonzero quantum integer is nonzero.
-This is certified at construction time by an explicit check up to a
-configurable bound.
+All four are generic: each is a subring of Q(v) or of Q, and a quantum
+integer [n]_d with n != 0 is nonzero in Q(v) and maps to n at q = 1.
 
 Every kind stores its elements alike, as pi**k * v**s * n / d with n and d
 integer polynomials; over ``int:p`` and ``rational`` n and d are constants.
@@ -191,15 +190,22 @@ def qfact(n: int, d: int = 1) -> LaurentPoly:
 def qbinom(n: int, r: int, d: int = 1) -> LaurentPoly:
     """The quantum binomial coefficient; n may be negative, r >= 0.
 
-    Computed by the exact incremental quotient
-    qbinom(n, r) = qbinom(n, r-1) * [n-r+1]_d / [r]_d; every division is
-    exact in Z[v, 1/v], and a remainder indicates an arithmetic bug and
-    raises RingError.
+    Computed for d = 1 by the exact incremental quotient
+    qbinom(n, r) = qbinom(n, r-1) * [n-r+1] / [r]; every division is exact
+    in Z[v, 1/v], and a remainder indicates an arithmetic bug and raises
+    RingError.  For d > 1 it is the d = 1 value at v**d, as [m]_d is.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     if r == 0:
         return LP_ONE
+    if d > 1:
+        b = qbinom(n, r, 1)
+        if not b.c:
+            return b
+        c = [0] * (d * (len(b.c) - 1) + 1)
+        c[::d] = b.c
+        return LaurentPoly(d * b.shift, tuple(c))
     return div_exact(qbinom(n, r - 1, d) * qint(n - r + 1, d), qint(r, d))
 
 
@@ -350,43 +356,19 @@ class GroundRing:
         return self.descriptor()
 
 
+_DESCRIPTOR_RE = re.compile(r"(cyc|int):(\d+)")
+
+
 def parse_ring(descriptor: str) -> GroundRing:
     """Inverse of GroundRing.descriptor()."""
     if descriptor == "generic":
         return generic_field()
     if descriptor == "rational":
         return rational_field()
-    m = re.fullmatch(r"cyc:(\d+)", descriptor)
-    if m:
-        return cyclotomic_local(int(m.group(1)))
-    m = re.fullmatch(r"int:(\d+)", descriptor)
-    if m:
-        return integer_local(int(m.group(1)))
-    raise RingError(f"unknown ring descriptor {descriptor!r}")
-
-
-_GENERICITY_CERTIFIED: set[tuple[RingKind, int | None, int]] = set()
-
-
-def _certify_generic(ring: GroundRing, bound: int) -> None:
-    """Check that [n]_d maps to a nonzero element for 0 < |n| <= bound.
-
-    All supported kinds are generic for every n, but the library refuses to
-    hand out a ring without having run the certificate: a non-generic
-    configuration would silently produce wrong module ranks downstream.
-    """
-    key = (ring.kind, ring.param, bound)
-    if key in _GENERICITY_CERTIFIED:
-        return
-    for d in (1, 2, 3):
-        for n in range(1, bound + 1):
-            for m in (n, -n):
-                if embed(qint(m, d), ring).is_zero():
-                    raise RingError(
-                        f"ring {ring.descriptor()} is not generic: "
-                        f"quantum integer [{m}]_{d} maps to zero"
-                    )
-    _GENERICITY_CERTIFIED.add(key)
+    m = _DESCRIPTOR_RE.fullmatch(descriptor)
+    if not m:
+        raise RingError(f"unknown ring descriptor {descriptor!r}")
+    return (cyclotomic_local if m[1] == "cyc" else integer_local)(_number(m[2]))
 
 
 def generic_field() -> GroundRing:
@@ -397,20 +379,16 @@ def rational_field() -> GroundRing:
     return GroundRing(RingKind.RATIONAL_FIELD)
 
 
-def cyclotomic_local(l: int, genericity_bound: int = 24) -> GroundRing:
+def cyclotomic_local(l: int) -> GroundRing:
     if l < 1:
         raise RingError("cyclotomic index must be >= 1")
-    ring = GroundRing(RingKind.CYCLOTOMIC_LOCAL, l)
-    _certify_generic(ring, genericity_bound)
-    return ring
+    return GroundRing(RingKind.CYCLOTOMIC_LOCAL, l)
 
 
-def integer_local(p: int, genericity_bound: int = 24) -> GroundRing:
+def integer_local(p: int) -> GroundRing:
     if not _is_prime(p):
         raise RingError(f"{p} is not prime")
-    ring = GroundRing(RingKind.INTEGER_LOCAL, p)
-    _certify_generic(ring, genericity_bound)
-    return ring
+    return GroundRing(RingKind.INTEGER_LOCAL, p)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +672,9 @@ def to_fraction_field(x: RingElem) -> RingElem:
 #
 # The format is the one used by every serialization in this package, e.g.
 # "s^1 * (v^-2*(v^2-v+1))" over cyc:3 or "5^1 * 1" over int:5, "0" for zero.
-# Parsing is the exact inverse of printing.
+# Printing gives canonical text.  Parsing reads a wider grammar (see
+# docs/formats.md) and canonicalizes: parse then print gives canonical text,
+# and print then parse gives the element back.
 
 
 def _term_str(e: int, c: Fraction) -> str:
@@ -709,25 +689,12 @@ def _term_str(e: int, c: Fraction) -> str:
 
 
 def format_laurent(p: LaurentPoly) -> str:
-    if not p.c:
-        return "0"
-    if len(p.c) == 1:
-        return _term_str(p.shift, p.c[0])
-    m = p.shift
-    parts: list[str] = []
-    for e in range(len(p.c) - 1, -1, -1):
-        if not p.c[e]:
-            continue
-        t = _term_str(e, p.c[e])
-        if parts and not t.startswith("-"):
-            parts.append("+" + t)
-        else:
-            parts.append(t)
-    s = "".join(parts)
-    if m:
-        vp = "v" if m == 1 else f"v^{m}"
-        return f"{vp}*({s})"
-    return s
+    if len(p.c) < 2:
+        return _term_str(p.shift, p.c[0]) if p.c else "0"
+    # Descending powers; a negative term's "-" takes the place of its "+".
+    s = "+".join([_term_str(e, p.c[e]) for e in range(len(p.c) - 1, -1, -1) if p.c[e]])
+    s = s.replace("+-", "-")
+    return f"{_term_str(p.shift, 1)}*({s})" if p.shift else s
 
 
 def _unit_str(x: RingElem) -> str:
@@ -737,6 +704,9 @@ def _unit_str(x: RingElem) -> str:
     if x.ring.is_laurent:
         return f"({ns})/({format_laurent(x.den)})"
     return f"{ns}/{x.den.c[0]}"
+
+
+_COMPOUND_RE = re.compile(r"[+*/]")
 
 
 def format_elem(x: RingElem) -> str:
@@ -753,118 +723,97 @@ def format_elem(x: RingElem) -> str:
         ) from None
     if x.k == 0:
         return unit
-    if re.search(r"[+*/]", unit) or "-" in unit[1:]:
+    if _COMPOUND_RE.search(unit) or "-" in unit[1:]:
         unit = f"({unit})"
     return f"{x.ring.uniformizer_symbol()}^{x.k} * {unit}"
 
 
-_TERM_RE = re.compile(
-    r"(?P<coef>-?\d+(?:/\d+)?)(?:\*(?P<vp1>v(?:\^-?\d+)?))?$|(?P<sign>-?)(?P<vp2>v(?:\^-?\d+)?)$"
-)
-
-
 # Parsed polynomials are stored densely: refuse a degree span too wide to
-# store and cancel in reasonable time instead of attempting it.
+# store and cancel in reasonable time instead of attempting it.  Over cyc:l
+# the bound also caps k in s^k * u, since arithmetic expands sigma_l**k, of
+# degree k * phi(l).
 _MAX_PARSED_SPAN = 10**4
 
+# A Laurent polynomial is a sum or v^e*(sum).  A sum is a term, optionally
+# led by "-", then terms each led by "+", "-" or "+-"; a term is c, c*V or
+# V, with c = a or a/b and V = v or v^e.  A sum is matched whole, then
+# _TERMS_RE reads its terms in order as (sign, c, v, e).
+_V = r"v(?:\^-?\d+)?"
+_TERM = rf"(?:\d+(?:/\d+)?(?:\*{_V})?|{_V})"
+_SUM = rf"-?{_TERM}(?:(?:\+-?|-){_TERM})*"
+_LAURENT_RE = re.compile(rf"v(?:\^(-?\d+))?\*\(({_SUM})\)|({_SUM})")
+_TERMS_RE = re.compile(r"\+?(-?)(?=[\dv])(\d*(?:/\d+)?)\*?(v?)(?:\^(-?\d+))?")
+_RATIO_RE = re.compile(r"\((.*)\)/\((.*)\)")
 _NUMBER_RE = re.compile(r"-?\d+(?:/\d+)?")
+_POWER_RE = re.compile(r"(s|\d+)\^(\d+) \* (.*)")
 
 
 def _number(s: str) -> int | Fraction:
-    """An integer or fraction of the element format, else RingError (also
-    for a zero denominator and for more digits than int() converts)."""
-    if _NUMBER_RE.fullmatch(s):
-        num, _, den = s.partition("/")
-        try:
-            return Fraction(int(num), int(den)) if den else int(num)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise RingError(f"bad number {s!r}")
+    """The integer or fraction s, of the form of _NUMBER_RE; RingError for
+    a zero denominator and for more digits than int() converts."""
+    num, _, den = s.partition("/")
+    try:
+        return Fraction(int(num), int(den)) if den else int(num)
+    except (ValueError, ZeroDivisionError):
+        raise RingError(f"bad number {s!r}") from None
 
 
-def _parse_vpow(s: str) -> int:
-    if s == "v":
-        return 1
-    if not s.startswith("v^"):
-        raise RingError(f"bad monomial {s!r}")
-    return _number(s[2:])
-
-
-def _parse_laurent_sum(s: str, shift: int = 0) -> LaurentPoly:
-    """v**shift times the sum s."""
-    # Split into signed terms at top level; the printed form never nests
-    # parentheses inside a sum.
-    terms: list[str] = []
-    cur = ""
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > 0 and s[i - 1] not in "+-^*/(":
-            terms.append(cur)
-            cur = ch if ch == "-" else ""
-        else:
-            cur += ch
-    terms.append(cur)
+def parse_laurent(s: str) -> LaurentPoly:
+    m = _LAURENT_RE.fullmatch(s.strip())
+    if not m:
+        raise RingError(f"cannot parse {s[:40]!r}")
+    if m[3] is None:  # v^e*(sum)
+        shift, g = (_number(m[1]) if m[1] else 1), 2
+    else:
+        shift, g = 0, 3
     out: dict[int, int | Fraction] = {}
-    for t in terms:
-        m = _TERM_RE.fullmatch(t)
-        if not m:
-            raise RingError(f"cannot parse term {t!r}")
-        if m.group("vp2") is not None:
-            e = _parse_vpow(m.group("vp2"))
-            c = -1 if m.group("sign") == "-" else 1
-        else:
-            c = _number(m.group("coef"))
-            e = _parse_vpow(m.group("vp1")) if m.group("vp1") else 0
-        out[shift + e] = out.get(shift + e, 0) + c
+    for sign, c, v, e in _TERMS_RE.findall(m.string, m.start(g), m.end(g)):
+        c = _number(sign + c) if c else -1 if sign else 1
+        e = shift + (_number(e) if e else 1 if v else 0)
+        out[e] = out.get(e, 0) + c
     exps = [e for e, c in out.items() if c]
     if exps and max(exps) - min(exps) > _MAX_PARSED_SPAN:
         raise RingError(f"degree span of {s[:40]!r} exceeds {_MAX_PARSED_SPAN}")
     return LaurentPoly.from_dict(out)
 
 
-def parse_laurent(s: str) -> LaurentPoly:
-    s = s.strip()
-    if s == "0":
-        return LP_ZERO
-    m = re.fullmatch(r"(v(?:\^-?\d+)?)\*\((.*)\)", s)
-    if m:
-        return _parse_laurent_sum(m.group(2), _parse_vpow(m.group(1)))
-    return _parse_laurent_sum(s)
-
-
 def _parse_unit(s: str, ring: GroundRing) -> RingElem:
     s = s.strip()
-    if not ring.is_laurent:
-        return ring.from_fraction(_number(s))
-    m = re.fullmatch(r"\((.*)\)/\((.*)\)", s)
-    if m:
-        return _make_laurent(ring, parse_laurent(m.group(1)), parse_laurent(m.group(2)))
-    return _make_laurent(ring, parse_laurent(s), LP_ONE)
+    if ring.is_laurent:
+        m = _RATIO_RE.fullmatch(s)
+        if m:
+            return _make_laurent(ring, parse_laurent(m[1]), parse_laurent(m[2]))
+        return _make_laurent(ring, parse_laurent(s), LP_ONE)
+    if not _NUMBER_RE.fullmatch(s):
+        raise RingError(f"bad number {s!r}")
+    return ring.from_fraction(_number(s))
 
 
 def parse_elem(s: str, ring: GroundRing) -> RingElem:
-    """Parse the textual element format; exact inverse of format_elem.
-    Malformed text raises RingError."""
+    """Parse the textual element format into canonical form.  Malformed
+    text, and a uniformizer power s^k over cyc:l with k * phi(l) above
+    _MAX_PARSED_SPAN, raise RingError."""
     s = s.strip()
     if s == "0":
         return ring.zero()
-    if ring.is_dvr:
-        sym = re.escape(ring.uniformizer_symbol())
-        m = re.fullmatch(rf"{sym}\^(\d+) \* (.*)", s)
-        if m:
-            k = _number(m.group(1))
-            body = m.group(2).strip()
-            if body.startswith("(") and body.endswith(")"):
-                inner = body[1:-1]
-                # Strip the wrapping parens only when they enclose the whole
-                # unit (they do for every printed element).
-                try:
-                    unit = _parse_unit(inner, ring)
-                except RingError:
-                    unit = _parse_unit(body, ring)
-            else:
-                unit = _parse_unit(body, ring)
-            # pi**k * (pi**j * u) is canonical as pi**(j + k) * u.
-            if unit.is_zero():
-                return unit
-            return RingElem(ring, unit.k + k, unit.num, unit.den)
-    return _parse_unit(s, ring)
+    m = _POWER_RE.fullmatch(s)
+    if not (m and ring.is_dvr and m[1] == ring.uniformizer_symbol()):
+        return _parse_unit(s, ring)
+    k = _number(m[2])
+    if ring.is_laurent and k * (len(ring._pi) - 1) > _MAX_PARSED_SPAN:
+        raise RingError(f"s^{m[2][:40]} exceeds degree {_MAX_PARSED_SPAN} over {ring}")
+    body = m[3].strip()
+    unit = None
+    if body.startswith("(") and body.endswith(")"):
+        # Strip the wrapping parens only when they enclose the whole unit
+        # (they do for every printed element).
+        try:
+            unit = _parse_unit(body[1:-1], ring)
+        except RingError:
+            pass
+    if unit is None:
+        unit = _parse_unit(body, ring)
+    # pi**k * (pi**j * u) is canonical as pi**(j + k) * u.
+    if unit.is_zero():
+        return unit
+    return RingElem(ring, unit.k + k, unit.num, unit.den)

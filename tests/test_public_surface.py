@@ -3,10 +3,11 @@ but left in ``xcat.__all__`` or in the package imports fails here by name."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import qtilt
-from qtilt import xcat
+from qtilt import ring, xcat
 
 
 def _package_imports() -> list[tuple[str, str]]:
@@ -32,3 +33,18 @@ def test_package_imports_resolve():
 def test_package_reexports_only_xcat_exports():
     assert [name for module, name in _package_imports()
             if module == "xcat" and name not in xcat.__all__] == []
+
+
+def test_local_ring_constructors_take_only_their_parameter():
+    assert list(inspect.signature(ring.cyclotomic_local).parameters) == ["l"]
+    assert list(inspect.signature(ring.integer_local).parameters) == ["p"]
+
+
+def test_ring_construction_does_no_element_arithmetic(monkeypatch):
+    # cyc:11 is built by no other test, so no earlier construction can
+    # have left a cached result behind.
+    def refuse(*args):
+        raise AssertionError("element arithmetic during ring construction")
+
+    monkeypatch.setattr(ring, "_make_laurent", refuse)
+    assert ring.parse_ring("cyc:11").descriptor() == "cyc:11"

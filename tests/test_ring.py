@@ -78,6 +78,17 @@ def test_qbinom_against_symbolic_expansion(n, r, d):
     assert sympy.simplify(expected - got) == 0
 
 
+def test_qbinom_at_d_is_the_incremental_quotient():
+    # [n choose r]_d is computed as [n choose r]_1 at v**d; the recurrence
+    # on [m]_d is the reference, including the zero values 0 <= n < r.
+    for d in (2, 3):
+        for n in range(-6, 9):
+            ref = LP_ONE
+            for r in range(1, 7):
+                ref = ring_mod.div_exact(ref * qint(n - r + 1, d), qint(r, d))
+                assert qbinom(n, r, d) == ref, (n, r, d)
+
+
 def _binom(n, r):
     # generalized binomial coefficient, defined for negative n as well
     if n >= 0:
@@ -187,6 +198,13 @@ def test_parse_ring_large_prime_is_fast():
 def test_parse_ring_refuses_primes_beyond_the_exact_bound():
     with pytest.raises(RingError, match="too large"):
         parse_ring("int:10000000000000000000000013")  # a 26-digit prime
+
+
+def test_parse_ring_refuses_more_digits_than_int_converts():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    for kind in ("cyc", "int"):
+        with pytest.raises(RingError, match="bad number"):
+            parse_ring(f"{kind}:{digits}")
 
 
 def test_elements_outside_ring_rejected(int3, cyc3):
@@ -755,3 +773,74 @@ def test_parse_elem_fuzz(case):
         return
     assert x.ring == ring
     assert parse_elem(format_elem(x), ring) == x
+
+
+# ---------------------------------------------------------------------------
+# the element language: accepted text and its canonical form, refusals
+
+
+@pytest.mark.parametrize("ring,text,canonical", [
+    ("cyc:3", "v^2+v^2", "2*v^2"),
+    ("cyc:3", "v+-1", "v-1"),
+    ("cyc:3", "1/2*v", "(v)/(2)"),
+    ("cyc:3", "s^0 * v", "v"),
+    ("cyc:3", "(1)/(v)", "v^-1"),
+    ("cyc:3", "v^2*(1)", "v^2"),
+    ("cyc:3", "0*v", "0"),
+    ("cyc:3", "v^-1*(v^2+v+1)", "s^1 * (v^-1)"),
+    ("cyc:3", "s^1 * (v+1)/(v+2)", "s^1 * ((v+1)/(v+2))"),
+    ("cyc:3", "( v+1 )/( 2 )", "(v+1)/(2)"),
+    ("cyc:3", "s^5000 * 1", "s^5000 * 1"),
+    ("cyc:1", "s^10000 * 1", "s^10000 * 1"),
+    ("int:3", "6/5", "3^1 * (2/5)"),
+    ("int:3", "3^100000 * 1", "3^100000 * 1"),
+    ("cyc:3", "+v", None),
+    ("cyc:3", "v--1", None),
+    ("cyc:3", "v2", None),
+    ("cyc:3", "v+", None),
+    ("cyc:3", "2*-v", None),
+    ("cyc:3", "v^1/2", None),
+    ("cyc:3", "(v+1)", None),
+    ("cyc:3", "s^1*v", None),
+    ("cyc:3", "v ^2", None),
+    ("cyc:3", "1/0*v", None),
+    ("int:3", "1/3", None),
+    # s^k expands to degree k * phi(l): refused above 10^4.
+    ("cyc:3", "s^5001 * 1", None),
+    ("cyc:1", "s^10001 * 1", None),
+    ("cyc:3", "s^100000 * (v^2+2)", None),
+])
+def test_element_language(ring, text, canonical):
+    ring = parse_ring(ring)
+    if canonical is None:
+        with pytest.raises(RingError):
+            parse_elem(text, ring)
+    else:
+        assert format_elem(parse_elem(text, ring)) == canonical
+
+
+_HUGE_TEMPLATES = ["1/{}", "2/{}*v", "(1)/({})", "3^1 * (1/{})", "{}",
+                   "v^{}", "v^-{}*(v+1)", "s^{} * 1", "3^{} * (2)", "s^1 * (v^{}+1)"]
+
+
+@st.composite
+def texts_with_huge_numbers(draw):
+    """A number of more digits than int() converts, as a denominator, an
+    exponent or a coefficient, with the rest of the text possibly mangled."""
+    ring = draw(st.sampled_from(_PARSE_RINGS))
+    digits = "9" * draw(st.integers(sys.get_int_max_str_digits() + 1,
+                                    sys.get_int_max_str_digits() + 50))
+    text = draw(st.sampled_from(_HUGE_TEMPLATES)).format(digits)
+    i = draw(st.integers(0, len(text)))
+    return ring, text[:i] + draw(st.text(_FORMAT_ALPHABET, max_size=3)) + text[i:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(element_texts(), texts_with_huge_numbers()))
+def test_parse_elem_raises_only_ring_error(case):
+    ring, text = case
+    try:
+        x = parse_elem(text, ring)
+    except RingError:
+        return
+    assert isinstance(x, ring_mod.RingElem) and x.ring == ring

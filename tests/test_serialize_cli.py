@@ -246,6 +246,8 @@ _CYC3_OBJ = "a1_smax_cyc3_w3.json"
     pytest.param("a2_smin_int3_w11.json", _first_entry("abc"), RingError, id="abc_int3"),
     pytest.param(_CYC3_OBJ, _first_entry("1/0"), RingError, id="one_over_zero_cyc3"),
     pytest.param(_CYC3_OBJ, _first_entry("(1)/(0)"), RingError, id="zero_den_cyc3"),
+    pytest.param(_CYC3_OBJ, _first_entry("s^100000 * 1"), RingError,
+                 id="uniformizer_power_too_large_cyc3"),
     pytest.param(_CYC3_OBJ, _ints_as(float), SerializeError, id="ints_as_floats"),
     pytest.param(_CYC3_OBJ, _ints_as(lambda x: x + 0.5 if x > 0 else x), SerializeError,
                  id="positive_ints_plus_half"),
@@ -418,6 +420,17 @@ def test_check_refuses_a_ring_prime_too_large(runner, tmp_path):
     res = runner.invoke(main, ["check", str(bad)])
     assert res.exit_code == 2, res.output
     assert "error:" in res.output and "too large" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_check_refuses_a_ring_index_of_too_many_digits(runner, tmp_path):
+    obj = _golden_dict(_CYC3_OBJ)
+    obj["ring"] = "cyc:" + "1" * (sys.get_int_max_str_digits() + 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["check", str(bad)])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output and "bad number" in res.output
     assert isinstance(res.exception, SystemExit)
 
 
