@@ -38,13 +38,18 @@ class LinAlgError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Mat:
     """Dense matrix of ring elements sharing one ground ring.
 
     ``from_rows`` and ``from_cols`` check the ring of every entry, for input
     from outside; the arithmetic and the stacking build their results
     directly and check only that their input matrices share one ring.
+
+    Immutable by contract, not by ``frozen=True``, as ``ring.RingElem`` is:
+    every product builds a matrix, and a frozen dataclass stores each field
+    through ``object.__setattr__``.  Objects, their caches and the word memo
+    share matrices, so never assign a field.
     """
 
     ring: GroundRing

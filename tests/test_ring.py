@@ -207,6 +207,38 @@ def test_parse_ring_refuses_more_digits_than_int_converts():
             parse_ring(f"{kind}:{digits}")
 
 
+def test_parse_ring_refuses_cyc_l_without_computing_sigma_l(monkeypatch):
+    # sigma_l has degree phi(l); above _MAX_PARSED_SPAN the ring is refused
+    # from l alone, and a many-digit l is refused without factoring it.
+    def unbuildable(l):
+        raise AssertionError(f"sigma_{l} computed")
+
+    monkeypatch.setattr(ring_mod, "cyclotomic_poly", unbuildable)
+    for desc, phi in (("cyc:100000", "40000"), ("cyc:10007", "10006")):
+        with pytest.raises(RingError, match=rf"phi\(\d+\) = {phi} > 10000"):
+            parse_ring(desc)
+    start = time.perf_counter()
+    for desc in ("cyc:200000001", "cyc:" + "7" * 4000):
+        with pytest.raises(RingError, match="l > 200000000"):
+            parse_ring(desc)
+    assert time.perf_counter() - start < 1
+    for desc in ("cyc:10001", "cyc:30030", "cyc:1"):  # phi = 9792, 5760, 1
+        assert parse_ring(desc).descriptor() == desc
+
+
+def test_number_errors_quote_a_prefix(cyc3, int3):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    for ring, text in ((cyc3, digits + "*v"), (cyc3, "1/" + digits), (int3, digits)):
+        with pytest.raises(RingError) as err:
+            parse_elem(text, ring)
+        msg = str(err.value)
+        assert len(msg) < 100, msg
+        assert msg.startswith("bad number '")
+        assert msg.endswith(f"'... ({sum(map(str.isdigit, text))} digits)")
+    with pytest.raises(RingError, match=r"^bad number 'x{40}'$"):
+        parse_elem("x" * 5000, int3)
+
+
 def test_elements_outside_ring_rejected(int3, cyc3):
     with pytest.raises(RingError):
         int3.from_fraction(Fraction(1, 3))

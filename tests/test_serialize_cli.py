@@ -434,6 +434,39 @@ def test_check_refuses_a_ring_index_of_too_many_digits(runner, tmp_path):
     assert isinstance(res.exception, SystemExit)
 
 
+def test_check_refuses_a_cyclotomic_index_too_large_at_once(runner, tmp_path, monkeypatch):
+    # phi(100000) = 40000 > 10^4: refused from the index alone, before any
+    # entry is read and without computing sigma_l.
+    from qtilt import ring
+
+    def unbuildable(l):
+        raise AssertionError(f"sigma_{l} computed")
+
+    monkeypatch.setattr(ring, "cyclotomic_poly", unbuildable)
+    obj = _golden_dict(_CYC3_OBJ)
+    obj["ring"] = "cyc:100000"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["check", str(bad)])
+    assert res.exit_code == 2, res.output
+    assert "error: cyc:100000 has phi(100000) = 40000 > 10000" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("golden", [_CYC3_OBJ, "a2_smin_int3_w11.json"])
+def test_check_quotes_a_prefix_of_a_huge_number(runner, tmp_path, golden):
+    obj = _golden_dict(golden)
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    obj["operators"][0]["entries"][0][0] = digits
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["check", str(bad)])
+    assert res.exit_code == 2, res.output
+    (line,) = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
+    assert line == f"error: bad number '{digits[:40]}'... ({len(digits)} digits)"
+    assert isinstance(res.exception, SystemExit)
+
+
 _DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 
