@@ -34,6 +34,19 @@ different valuations has the smaller one.  Only sums of equal valuation,
 ``from_fraction``, ``embed`` and parsing search for pi.  The kinds differ
 only where q does: ``embed`` evaluates at v = 1 when q = 1, and a unit of
 ``int:p`` or ``rational`` prints as ``a`` or ``a/b``.
+
+Operations on constants run on Python integers, as ``fractions.Fraction``
+does, and build the canonical element directly, with no zpoly call.  The
+path is chosen by the shape of the operands: num and den of both are single
+integers, which holds for every element of ``int:p`` and ``rational`` and
+for constant units of ``cyc:l`` and ``generic``.  Products and quotients
+cross-cancel (Henrici) and move a negative divisor's sign to the numerator;
+sums follow Knuth's gcd rule, and over ``int:p`` a sum of equal valuation
+strips p by ``while t % p == 0``.  The results keep the canonical
+invariants: a/b reduced, b > 0, p dividing neither, and shift 0 over
+``int:p``.  Two sums of constants take the polynomial path: different
+shifts, and different valuations over ``cyc:l``, where sigma_l**j is not a
+constant.
 """
 
 from __future__ import annotations
@@ -307,6 +320,12 @@ class GroundRing:
         raise RingError(f"{self.descriptor()} has no uniformizer")
 
     def fraction_field(self) -> "GroundRing":
+        return self._fraction_field
+
+    # One instance per ring, so the entries of a base change share it and
+    # their ring checks stay identity tests.
+    @cached_property
+    def _fraction_field(self) -> "GroundRing":
         if self.is_field:
             return self
         if self.kind is RingKind.CYCLOTOMIC_LOCAL:
@@ -352,13 +371,14 @@ class GroundRing:
         f = _coeff(f)  # an int or a non-integral Fraction
         if not f:
             return self.zero()
-        n, d, k = [f.numerator], [f.denominator], 0
+        n, d, k, p = f.numerator, f.denominator, 0, self._p
         # A nonzero constant is prime to every sigma_l (degree >= 1), not to p.
-        if self.kind is RingKind.INTEGER_LOCAL:
-            n, k = _strip_pi(self, n, 0)
-            if _pi_divides(self, d):
-                raise RingError(f"{f} has negative {self.param}-adic valuation; not in {self}")
-        return _finish(self, k, 0, n, d)
+        if p:
+            while n % p == 0:
+                n, k = n // p, k + 1
+            if d % p == 0:
+                raise RingError(f"{f} has negative {p}-adic valuation; not in {self}")
+        return _const(self, k, 0, n, d)
 
     def uniformizer(self) -> "RingElem":
         if self.is_field:
@@ -373,6 +393,12 @@ class GroundRing:
         if self.kind is RingKind.INTEGER_LOCAL:
             return (self.param,)
         raise RingError(f"{self.descriptor()} has no uniformizer")
+
+    @cached_property
+    def _p(self) -> int:
+        """The uniformizer when it is an integer (p over ``int:p``), else 0:
+        the only uniformizer that can divide a constant."""
+        return self.param if self.kind is RingKind.INTEGER_LOCAL else 0
 
     def __str__(self) -> str:
         return self.descriptor()
@@ -457,7 +483,10 @@ class RingElem:
     gcd(n1, n2) and gcd(d1, d2)) as ``fractions.Fraction`` does, and never
     look for pi, which is prime and divides no canonical num or den; a sum
     with k1 != k2 has valuation min(k1, k2) exactly, so only a sum with
-    k1 == k2 divides out pi.
+    k1 == k2 divides out pi.  When num and den of both operands are
+    constants (always over ``int:p`` and ``rational``), the same rules run
+    on integers and keep a/b reduced with b > 0, p dividing neither a nor b,
+    and the shift 0 over ``int:p``; see the module docstring.
 
     The zero element is flagged by ``num is None``; each ring has one,
     ``GroundRing.zero()``.
@@ -585,18 +614,15 @@ def _finish(ring: GroundRing, k: int, shift: int, n, d) -> RingElem:
 
 
 def _pi_divides(ring: GroundRing, a) -> bool:
-    """Whether the uniformizer of the DVR ``ring`` divides the polynomial a.
+    """Whether sigma_l, the uniformizer of ``cyc:l``, divides the polynomial a.
 
-    p divides a when it divides every coefficient.  sigma_l divides
-    v**l - 1, so a is congruent to its fold modulo v**l - 1 (l sums of
-    slices, at C speed): only the short fold is divided.
+    sigma_l divides v**l - 1, so a is congruent to its fold modulo
+    v**l - 1 (l sums of slices, at C speed): only the short fold is divided.
+    Over ``int:p`` every element is a constant, and the integer path strips p.
     """
-    pi = ring._pi
-    if len(pi) == 1:
-        return math.gcd(*a) % pi[0] == 0
     l = ring.param
     folded = [sum(a[i::l]) for i in range(l)]
-    return not any(folded) or zpoly.quo(folded, pi) is not None
+    return not any(folded) or zpoly.quo(folded, ring._pi) is not None
 
 
 def _strip_pi(ring: GroundRing, n, k: int):
@@ -630,6 +656,12 @@ def _make_laurent(ring: GroundRing, num: LaurentPoly, den: LaurentPoly) -> RingE
     return _finish(ring, k, num.shift - den.shift, n, d)
 
 
+def _const(ring: GroundRing, k: int, shift: int, n: int, d: int) -> RingElem:
+    """The element pi**k * v**shift * n/d for coprime integers n != 0 and
+    d > 0, neither divisible by pi: already canonical, so built directly."""
+    return RingElem(ring, k, LaurentPoly(shift, (n,)), LP_ONE if d == 1 else LaurentPoly(0, (d,)))
+
+
 def _laurent_add(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
     """x + y for nonzero x, y, in any kind.
 
@@ -639,17 +671,47 @@ def _laurent_add(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
     denominators follow Knuth's rule, as ``fractions.Fraction`` does: with
     g = gcd(d1, d2) the sum is t / (d1 d2 / g) with t = n1 d2/g + n2 d1/g,
     and only gcd(t, g) can still cancel.
+
+    When both units are constants of one shift (every sum over ``int:p`` and
+    ``rational``) the rule runs on integers.  pi**|k1 - k2| is then an
+    integer over ``int:p`` only; a constant is prime to sigma_l, so only p
+    can be stripped, by ``while t % p == 0``.
     """
     s1, n1 = x.num.shift, x.num.c
     s2, n2 = y.num.shift, y.num.c
+    d1, d2 = x.den.c, y.den.c
     k = min(x.k, y.k)
+    if (len(n1) == 1 and len(n2) == 1 and len(d1) == 1 and len(d2) == 1 and s1 == s2
+            and (x.k == y.k or ring._p)):
+        a1, a2, b1, b2 = n1[0], n2[0], d1[0], d2[0]
+        p = ring._p
+        if x.k != y.k:
+            if x.k < y.k:
+                a2 *= p ** (y.k - k)
+            else:
+                a1 *= p ** (x.k - k)
+        g = math.gcd(b1, b2)
+        if g == 1:
+            t, d = a1 * b2 + a2 * b1, b1 * b2
+        else:
+            b1 //= g
+            t = a1 * (b2 // g) + a2 * b1
+            g = math.gcd(t, g)
+            d = b1 * (b2 // g)
+            if g != 1:
+                t //= g
+        if not t:
+            return ring.zero()
+        if p and x.k == y.k:
+            while t % p == 0:
+                t, k = t // p, k + 1
+        return _const(ring, k, s1, t, d)
     if x.k != y.k:
         pi_m = _pi_pow(ring._pi, abs(x.k - y.k))
         if x.k < y.k:
             n2 = zpoly.mul(n2, pi_m)
         else:
             n1 = zpoly.mul(n1, pi_m)
-    d1, d2 = x.den.c, y.den.c
     if d1 == d2 == (1,):
         shift, t = zpoly.add(s1, n1, s2, n2)
         d = [1]
@@ -675,24 +737,48 @@ def _laurent_mul(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
     denominators 1 the product n1 n2 is already canonical (Gauss's lemma
     keeps its content, the denominator keeps content 1).  Otherwise Henrici's
     cross-cancellation by gcd(n1, d2) and gcd(n2, d1) leaves a reduced
-    fraction.
+    fraction; on constant units it runs on integers.
     """
     n1, n2 = x.num.c, y.num.c
+    d1, d2 = x.den.c, y.den.c
     shift = x.num.shift + y.num.shift
-    if x.den.c == y.den.c == (1,):
+    if len(n1) == 1 and len(n2) == 1 and len(d1) == 1 and len(d2) == 1:
+        a1, a2, b1, b2 = n1[0], n2[0], d1[0], d2[0]
+        g = math.gcd(a1, b2)
+        if g != 1:
+            a1, b2 = a1 // g, b2 // g
+        g = math.gcd(a2, b1)
+        if g != 1:
+            a2, b1 = a2 // g, b1 // g
+        return _const(ring, x.k + y.k, shift, a1 * a2, b1 * b2)
+    if d1 == d2 == (1,):
         return RingElem(ring, x.k + y.k, LaurentPoly(shift, tuple(zpoly.mul(n1, n2))), LP_ONE)
-    n1, d2 = zpoly.cancel(n1, y.den.c)
-    n2, d1 = zpoly.cancel(n2, x.den.c)
+    n1, d2 = zpoly.cancel(n1, d2)
+    n2, d1 = zpoly.cancel(n2, d1)
     return _finish(ring, x.k + y.k, shift, zpoly.mul(n1, n2), zpoly.mul(d1, d2))
 
 
 def _laurent_div(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
     """x / y for nonzero x, y with x.k >= y.k: (n1 d2) / (d1 n2) after
     Henrici's cancellation by gcd(n1, n2) and gcd(d1, d2); as for products,
-    no factor pi can appear."""
-    n1, n2 = zpoly.cancel(x.num.c, y.num.c)
-    d1, d2 = zpoly.cancel(x.den.c, y.den.c)
+    no factor pi can appear.  On constant units it runs on integers, and a
+    negative divisor moves its sign to the numerator."""
+    n1, n2 = x.num.c, y.num.c
+    d1, d2 = x.den.c, y.den.c
     shift = x.num.shift - y.num.shift
+    if len(n1) == 1 and len(n2) == 1 and len(d1) == 1 and len(d2) == 1:
+        a1, a2, b1, b2 = n1[0], n2[0], d1[0], d2[0]
+        g = math.gcd(a1, a2)
+        if g != 1:
+            a1, a2 = a1 // g, a2 // g
+        g = math.gcd(b1, b2)
+        if g != 1:
+            b1, b2 = b1 // g, b2 // g
+        if a2 < 0:
+            a1, a2 = -a1, -a2
+        return _const(ring, x.k - y.k, shift, a1 * b2, b1 * a2)
+    n1, n2 = zpoly.cancel(n1, n2)
+    d1, d2 = zpoly.cancel(d1, d2)
     return _finish(ring, x.k - y.k, shift, zpoly.mul(n1, d2), zpoly.mul(d1, n2))
 
 

@@ -666,6 +666,145 @@ def test_numeric_equal_valuation_sum_cancels_into_p(int3):
 
 
 # ---------------------------------------------------------------------------
+# the integer path: operations on constant units against Fraction and sympy
+
+
+def assert_constant_invariants(x):
+    """A nonzero constant is pi**k * v**s * a/b with a/b reduced and b > 0;
+    over int:p, p divides neither and s = 0."""
+    (a,), (b,) = x.num.c, x.den.c
+    assert a and b > 0 and math.gcd(a, b) == 1 and x.den.shift == 0
+    if x.ring.param and not x.ring.is_laurent:
+        assert a % x.ring.param and b % x.ring.param and x.num.shift == 0
+
+
+_big = st.integers(-2**100, 2**100).filter(bool)
+
+
+@st.composite
+def big_numeric_values(draw, ring):
+    """p**j * a/b with |a|, b up to 2**100 and b prime to p over int:p."""
+    p = ring.param or 2
+    a, b = draw(_big), draw(st.integers(1, 2**100))
+    while ring.param and b % p == 0:
+        b //= p
+    return Fraction(a, b) * p ** draw(st.integers(0, 3))
+
+
+@st.composite
+def big_numeric_pairs(draw):
+    """Two values of one numeric ring; the second often cancels the first
+    outright, or down to a multiple of a higher power of p."""
+    ring = draw(st.sampled_from(_NUMERIC_RINGS))
+    fx, fy = draw(big_numeric_values(ring)), draw(big_numeric_values(ring))
+    mode = draw(st.sampled_from(["free", "zero", "gain"]))
+    if mode == "zero":
+        fy = -fx
+    elif mode == "gain":
+        fy = -fx + fy * (ring.param or 2) ** draw(st.integers(1, 3))
+    return ring, fx, fy
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_numeric_pairs())
+def test_numeric_integer_path_matches_fraction(case):
+    ring, fx, fy = case
+    assume(fy)
+    x, y = ring.from_fraction(fx), ring.from_fraction(fy)
+    results = [(x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy), (y * x, fx * fy)]
+    if x.k >= y.k:
+        results.append((x.divide(y), fx / fy))
+    if y.k >= x.k:
+        results.append((y.divide(x), fy / fx))
+    for z, f in results:
+        assert_numeric(z, f)
+        if f:
+            assert_constant_invariants(z)
+
+
+_CONSTANT_UNIT_RINGS = [cyclotomic_local(3), cyclotomic_local(6), generic_field()]
+
+
+@st.composite
+def constant_unit_pairs(draw):
+    """Two constants sigma_l**k * v**s * a/b of one Laurent ring, with
+    coefficients up to 2**70; the shifts are often equal, and the second
+    is sometimes the negative of the first."""
+    ring = draw(st.sampled_from(_CONSTANT_UNIT_RINGS))
+
+    def elem(shift):
+        c = Fraction(draw(st.integers(-2**70, 2**70).filter(bool)), draw(st.integers(1, 2**70)))
+        x = ring_mod._make_laurent(ring, lp({shift: c}), LP_ONE)
+        return x * ring.uniformizer() ** draw(st.integers(0, 2)) if ring.is_dvr else x
+
+    s1 = draw(st.integers(-3, 3))
+    x = elem(s1)
+    y = elem(s1 if draw(st.booleans()) else draw(st.integers(-3, 3)))
+    return x, -x if draw(st.integers(0, 4)) == 0 else y
+
+
+@settings(max_examples=150, deadline=None)
+@given(constant_unit_pairs())
+def test_constant_units_match_sympy(pair):
+    x, y = pair
+    assert_constant_invariants(x)
+    vx, vy = elem_sympy(x), elem_sympy(y)
+    products = [(x * y, vx * vy)]
+    if x.k >= y.k:
+        products.append((x.divide(y), vx / vy))
+    for z, value in products:
+        assert_canonical(z, value)
+        assert_constant_invariants(z)
+    assert_canonical(x + y, vx + vy)
+    assert_canonical(x - y, vx - vy)
+
+
+def test_constant_sum_of_unequal_valuation_over_cyc_takes_the_general_path(monkeypatch, cyc3):
+    # 2 sigma_3 + 3/5 = (10 v^2 + 10 v + 13) / 5 is not a constant
+    x, y = cyc3.uniformizer() * cyc3.from_int(2), cyc3.from_fraction(Fraction(3, 5))
+    calls = []
+    add = zpoly.add
+    monkeypatch.setattr(zpoly, "add", lambda *a: calls.append(a) or add(*a))
+    z = x + y
+    assert calls and (z.k, z.num.c, z.den.c) == (0, (13, 10, 10), (5,))
+    assert_canonical(z, elem_sympy(x) + elem_sympy(y))
+
+
+def test_constant_division_by_a_negative_divisor(int3, cyc3):
+    q = int3.from_fraction(Fraction(2, 5)).divide(int3.from_fraction(Fraction(-7, 4)))
+    assert (q.k, q.num.c, q.den.c) == (0, (-8,), (35,))
+    x = ring_mod._make_laurent(cyc3, lp({2: 4}), lp({0: 9}))
+    y = ring_mod._make_laurent(cyc3, lp({-1: -6}), LP_ONE)
+    q = x.divide(y)
+    assert (q.num.shift, q.num.c, q.den.c) == (3, (-2,), (27,))
+    assert_canonical(q, elem_sympy(x) / elem_sympy(y))
+
+
+def test_constant_operations_call_no_polynomial_kernel(monkeypatch, int3):
+    # Over int:p every operand is a constant: +, -, * and divide stay on
+    # integers even when denominators, unequal valuations, sums that gain
+    # powers of 3 and sums that cancel are involved.
+    fs = [Fraction(1, 2), Fraction(1, 4), Fraction(-7, 4), Fraction(9, 10), Fraction(-3, 20),
+          Fraction(27, 2**70 + 1), Fraction(2**80, 11)]
+    xs = [int3.from_fraction(f) for f in fs]
+
+    def refuse(*args):
+        raise AssertionError("the polynomial kernel was called on constants")
+
+    for name, f in vars(zpoly).items():
+        if callable(f) and getattr(f, "__module__", None) == zpoly.__name__:
+            monkeypatch.setattr(zpoly, name, refuse)
+    monkeypatch.setattr(ring_mod, "_finish", refuse)
+    for x, fx in zip(xs, fs):
+        for y, fy in zip(xs, fs):
+            assert_numeric(x + y, fx + fy)
+            assert_numeric(x - y, fx - fy)
+            assert_numeric(x * y, fx * fy)
+            if x.k >= y.k:
+                assert_numeric(x.divide(y), fx / fy)
+
+
+# ---------------------------------------------------------------------------
 # LaurentPoly: dense storage against sympy
 
 

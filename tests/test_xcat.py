@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -644,6 +645,20 @@ def test_base_change_fraction_field(a1, cyc3, int3):
             for mu, c in weyl_character(a1, lam).items():
                 combo[mu] = combo.get(mu, 0) + m * c
         assert character(K) == combo
+
+
+def test_base_change_entries_share_one_fraction_field(a2, cyc3, gf):
+    # The fraction field is made once per ring, so every entry and every
+    # matrix of the base change carries that one instance; the dump is the
+    # one the per-entry rings gave.
+    K = base_change_to_field(build_smax(a2, cyc3, (2, 1)))
+    assert K.ring is cyc3.fraction_field() and K.ring == gf
+    mats = [*K.eops.values(), *K.fops.values()]
+    entries = [e for m in mats for row in m.entries for e in row]
+    assert len(entries) == 88
+    assert {id(m.ring) for m in mats} | {id(e.ring) for e in entries} == {id(K.ring)}
+    digest = hashlib.sha256(dump_xobject(K).encode()).hexdigest()
+    assert digest == "77e29aa12bbf88dcebb6469438fa43e3eb1d17b4d06646b4fce011916395709e"
 
 
 def test_base_change_identity_on_fields(a1, gf):
