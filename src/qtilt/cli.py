@@ -51,17 +51,21 @@ def _parse_weight(s: str) -> Weight:
         raise click.UsageError(f"bad weight {s!r}: {exc}")
 
 
-def _write(*outputs: tuple[str, str]) -> None:
+def _write(*outputs: tuple[str, str], inputs: tuple[str, ...] = ()) -> None:
     """Write each (path, text), a relative path under QTILT_OUT_DIR.  All
     paths are checked first, so a refused path leaves no file behind; two
-    paths naming one file are refused."""
+    paths naming one file are refused, and so is a path naming one of the
+    command's input files."""
     base = os.environ.get("QTILT_OUT_DIR", "")
     outputs = [(os.path.join(base, path), text) for path, text in outputs]
+    read = {os.path.realpath(path): path for path in inputs}
     seen: dict[str, str] = {}
     for path, _ in outputs:
         real = os.path.realpath(path)
         if real in seen:
             raise FileExistsError(f"cannot write {seen[real]} and {path}: they are one file")
+        if real in read:
+            raise FileExistsError(f"cannot write {path}: it is the input file {read[real]}")
         seen[real] = path
         if os.path.isdir(path):
             raise IsADirectoryError(f"cannot write {path}: it is a directory")
@@ -228,7 +232,7 @@ def hom_extend(object_a, object_b, out):
         ],
     })
     if out:
-        _write((out, text))
+        _write((out, text), inputs=(object_a, object_b))
     else:
         click.echo(text, nl=False)
     return 0

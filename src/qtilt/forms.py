@@ -16,14 +16,13 @@ result.
 from __future__ import annotations
 
 from . import linalg
-from .linalg import Mat, hstack, vstack
+from .linalg import Mat, block_diag, hstack, vstack
 from .ring import GroundRing
 from .rootsys import Weight
 from .xcat import (
     Report,
     XObject,
     _build,
-    _delta_rank,
     _store_blocks,
     delta_space,
     maximality_certificate,
@@ -46,39 +45,37 @@ def _gram(b: GradedForm, M: XObject, mu: Weight) -> Mat:
 
 def _gram_delta(b: GradedForm, M: XObject, mu: Weight, index) -> Mat:
     """Block-diagonal Gram matrix on the upper-neighbour sum."""
-    dr = _delta_rank(index)
-    out = Mat.zero(M.ring, dr, dr).to_lists()
-    for blk in index:
-        up = M.rs.add_root(mu, blk.alpha, blk.n)
-        g = _gram(b, M, up)
-        for i in range(blk.rank):
-            for j in range(blk.rank):
-                out[blk.offset + i][blk.offset + j] = g[i, j]
-    return Mat.from_rows(M.ring, out, cols=dr)
+    return block_diag(M.ring, [_gram(b, M, M.rs.add_root(mu, blk.alpha, blk.n))
+                               for blk in index])
 
 
 def check_form(M: XObject, b: GradedForm) -> Report:
     """Verify symmetry and exact contravariance; report per-weight
     non-degeneracy and the radical rank.  Contravariance is checked for
-    every operator stored as E or as F, an absent one being zero."""
+    every operator stored as E or as F, an absent one being zero.  A weight
+    whose Gram fails ``form-shape`` is left out of both later checks."""
     rep = Report()
+    misshapen = set()
     for mu in sorted(set(M.spaces) | set(b)):
         g = _gram(b, M, mu)
         if g.rows != M.rank(mu) or g.cols != M.rank(mu):
             rep.add("form-shape", mu, False,
                     f"Gram is {g.rows}x{g.cols}, space has rank {M.rank(mu)}")
+            misshapen.add(mu)
             continue
         if g != g.T:
             rep.add("form-symmetric", mu, False)
     rep.close("form-symmetric")
     for mu, a, n in sorted(set(M.eops) | set(M.fops)):
         up = M.rs.add_root(mu, a, n)
+        if mu in misshapen or up in misshapen:
+            continue
         lhs = _gram(b, M, up) @ M.eop(mu, a, n)
         rhs = M.fop(mu, a, n).T @ _gram(b, M, mu)
         if lhs != rhs:
             rep.add("form-contravariant", mu, False, f"alpha={a} n={n}")
     rep.close("form-contravariant")
-    for mu in sorted(M.spaces):
+    for mu in sorted(M.spaces.keys() - misshapen):
         g = _gram(b, M, mu)
         snf = linalg.smith_normal_form(g, track=())
         nondeg = snf.rank == g.rows and not any(snf.exponents)
@@ -98,16 +95,12 @@ def extend_form_minimal(M: XObject, b: GradedForm, mu: Weight) -> GradedForm:
     if mu not in M.region:
         raise FormError(f"object is not extended across {mu}")
     index, e_mu, f_mu = delta_space(M, mu)
-    r = M.rank(mu)
-    out = dict(b)
-    if r == 0:
-        out[mu] = Mat.zero(M.ring, 0, 0)
-        return out
     g_delta = _gram_delta(b, M, mu, index)
     # Columns x_i with F_mu @ x_i = e_i, the chosen basis of the new space.
-    lifts = linalg.solve_in_span(f_mu, Mat.identity(M.ring, r))
+    lifts = linalg.solve_in_span(f_mu, Mat.identity(M.ring, M.rank(mu)))
     if lifts is None:
         raise FormError("lowering operator is not surjective at the new weight")
+    out = dict(b)
     out[mu] = lifts.T @ g_delta @ e_mu
     return out
 

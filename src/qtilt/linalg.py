@@ -6,6 +6,9 @@ operations (saturated kernels, saturations with torsion invariants, solving
 inside column spans, free complements) read their bases off the SNF
 transformation matrices, so identical inputs produce bit-identical outputs.
 
+Every block-diagonal matrix (direct sums, the Gram matrix and the morphism
+on an upper-neighbour sum, the SNF diagonal) is built by ``block_diag``.
+
 Pivot rule: among the entries of minimal valuation pick the lexicographically
 smallest (row, col).
 
@@ -200,6 +203,22 @@ def vstack(mats: Sequence[Mat]) -> Mat:
                tuple(r for m in mats for r in m.entries))
 
 
+def block_diag(ring: GroundRing, mats: Sequence[Mat]) -> Mat:
+    """The block-diagonal matrix of mats, each over ring; a block may have
+    no rows or no columns."""
+    z = ring.zero()
+    cols = sum(m.cols for m in mats)
+    out = []
+    left = 0
+    for m in mats:
+        if m.ring is not ring and m.ring != ring:
+            raise LinAlgError("mixed rings in block_diag")
+        pad_l, pad_r = (z,) * left, (z,) * (cols - left - m.cols)
+        out.extend(pad_l + r + pad_r for r in m.entries)
+        left += m.cols
+    return Mat(ring, len(out), cols, tuple(out))
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -229,11 +248,10 @@ class SmithDecomposition:
         return len(self.exponents)
 
     def diagonal(self, rows: int, cols: int) -> Mat:
-        ring = self.ring
-        d = Mat.zero(ring, rows, cols).to_lists()
-        for t, e in enumerate(self.exponents):
-            d[t][t] = ring.uniformizer() ** e if ring.is_dvr else ring.one()
-        return Mat.from_rows(ring, d, cols=cols)
+        ring, r = self.ring, self.rank
+        pi = ring.uniformizer() if ring.is_dvr else ring.one()
+        return block_diag(ring, [Mat(ring, 1, 1, ((pi ** e,),)) for e in self.exponents]
+                          + [Mat.zero(ring, rows - r, cols - r)])
 
 
 def smith_normal_form(M: Mat, *, track: Iterable[str] = TRANSFORMS) -> SmithDecomposition:

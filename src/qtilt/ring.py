@@ -387,12 +387,11 @@ class GroundRing:
 
     @cached_property
     def _pi(self) -> tuple[int, ...]:
-        """The uniformizer as a dense integer polynomial: sigma_l or (p,)."""
+        """sigma_l, the uniformizer of ``cyc:l``, as a dense integer
+        polynomial.  Over ``int:p`` the uniformizer is the integer ``_p``."""
         if self.kind is RingKind.CYCLOTOMIC_LOCAL:
             return cyclotomic_poly(self.param).c
-        if self.kind is RingKind.INTEGER_LOCAL:
-            return (self.param,)
-        raise RingError(f"{self.descriptor()} has no uniformizer")
+        raise RingError(f"{self.descriptor()} has no polynomial uniformizer")
 
     @cached_property
     def _p(self) -> int:
@@ -806,6 +805,8 @@ def to_fraction_field(x: RingElem) -> RingElem:
     if x.is_zero():
         return fk.zero()
     # pi**k is prime to the denominator: the fraction stays reduced.
+    if ring._p:
+        return _const(fk, 0, x.num.shift, x.num.c[0] * ring._p ** x.k, x.den.c[0])
     n = zpoly.mul(x.num.c, _pi_pow(ring._pi, x.k))
     return _finish(fk, 0, x.num.shift, n, x.den.c)
 

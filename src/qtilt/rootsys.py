@@ -13,6 +13,10 @@ pairing functionals x -> (x, gamma) = sum_j x_j * d_j * c_j(gamma), and the
 Gram matrix of the form on the fundamental weights scaled by the lcm of its
 denominators.  Each multiplicity is an exact ``divmod``.
 
+One Gauss-Jordan pass over ``Fraction`` validates and inverts the Cartan
+matrix: it is of finite type exactly when every pivot is positive.  Ranks
+above ``MAX_RANK`` are refused before any matrix is built.
+
 Convention: ``cartan[i][j]`` is the pairing of the simple root alpha_j with
 the simple coroot of alpha_i, so the fundamental coordinates of alpha_j form
 the j-th *column* of the matrix.  The symmetrizers d satisfy
@@ -113,19 +117,23 @@ def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _fraction_matrix_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    m = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+def _finite_type_inverse(cartan: list[list[int]]) -> list[list[Fraction]]:
+    """C^-1 by one Gauss-Jordan pass with no row exchanges, refusing C unless
+    it is of finite type.  The k-th pivot is det C_k / det C_(k-1) for the
+    leading blocks C_k, and det (DC)_k has its sign for the positive diagonal
+    symmetrizer D: DC is positive definite (finite type) exactly when every
+    pivot is positive, and C is then invertible."""
+    n = len(cartan)
+    m = [[Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(cartan)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise RootSystemError("singular Cartan matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [c * inv for c in m[col]]
+        piv = m[col][col]
+        if piv <= 0:
+            raise RootSystemError("Cartan matrix is not of finite type")
+        m[col] = [c / piv for c in m[col]]
         for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
+            f = m[r][col]
+            if r != col and f:
                 m[r] = [c - f * p for c, p in zip(m[r], m[col])]
     return [row[n:] for row in m]
 
@@ -264,22 +272,16 @@ class RootSystem:
         return self.label
 
 
-def _finite_type_check(cartan: list[list[int]], d: tuple[int, ...]) -> None:
-    """Finite type iff the symmetrized matrix is positive definite."""
-    n = len(cartan)
-    b = [[Fraction(d[i] * cartan[i][j]) for j in range(n)] for i in range(n)]
-    # Leading principal minors via fraction-free-ish elimination.
-    m = [row[:] for row in b]
-    det = Fraction(1)
-    for col in range(n):
-        if m[col][col] == 0:
-            raise RootSystemError("Cartan matrix is not of finite type")
-        det *= m[col][col]
-        if det <= 0:
-            raise RootSystemError("Cartan matrix is not of finite type")
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            m[r] = [c - f * p for c, p in zip(m[r], m[col])]
+# The largest rank root_system constructs.  The Cartan matrix is inverted
+# over Fraction in O(n^3), which takes seconds from rank 100 on (A150: about
+# 10 s), and a label builds its n x n matrix first; every build this package
+# runs has rank <= 8.
+MAX_RANK = 64
+
+
+def _check_rank(n: int) -> None:
+    if n > MAX_RANK:
+        raise RootSystemError(f"rank {n} exceeds the largest supported rank {MAX_RANK}")
 
 
 def _validate(cartan: list[list[int]]) -> None:
@@ -303,16 +305,16 @@ def root_system(spec: str | list[list[int]], label: str | None = None) -> RootSy
         m = re.fullmatch(r"([A-G])(\d+)", spec.strip())
         if not m:
             raise RootSystemError(f"bad root system label {spec!r}")
+        _check_rank(int(m.group(2)))
         cartan = _label_cartan(m.group(1), int(m.group(2)))
         label = spec.strip()
     else:
+        _check_rank(len(spec))
         cartan = [list(map(int, row)) for row in spec]
         label = label or "custom"
     _validate(cartan)
     d = _symmetrizer(cartan)
-    _finite_type_check(cartan, d)
-    frac = [[Fraction(c) for c in row] for row in cartan]
-    inv = _fraction_matrix_inverse(frac)
+    inv = _finite_type_inverse(cartan)
     return RootSystem(
         label=label,
         cartan=tuple(tuple(r) for r in cartan),

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 from . import linalg
-from .linalg import Mat, hstack, vstack
+from .linalg import Mat, block_diag, hstack, vstack
 from .ring import GroundRing, RingElem, RingError, RingKind, embed, qbinom, to_fraction_field
 from .rootsys import RootSystem, Weight, dominance_leq, weights_below
 
@@ -251,10 +251,6 @@ def _delta_index(M: XObject, mu: Weight) -> DeltaIndex:
     return tuple(blocks)
 
 
-def _delta_rank(index: DeltaIndex) -> int:
-    return sum(b.rank for b in index)
-
-
 @lru_cache(maxsize=None)
 def _qb(ring: GroundRing, n: int, r: int, d: int) -> RingElem:
     """The image of the quantum binomial [n choose r]_d in ring."""
@@ -425,7 +421,7 @@ def hat_matrices(M: XObject, mu: Weight) -> tuple[Mat, Mat, DeltaIndex]:
     src - (n + r)*alpha_a, r >= 0, and is evaluated once per build.
     """
     index = _delta_index(M, mu)
-    dr = _delta_rank(index)
+    dr = sum(b.rank for b in index)
     ups = [M.rs.add_root(mu, blk.alpha, blk.n) for blk in index]
     words = M._words
     rows = []
@@ -601,8 +597,10 @@ def _build(
 
 def verify_frontier(M: XObject) -> None:
     """Recompute one height level beyond the processed region and insist the
-    would-be weight spaces are zero, turning hull pruning into a checked
-    claim for this object.  Raises XCatError otherwise."""
+    would-be weight spaces are zero, turning the build's weight list into a
+    checked claim for this object.  Raises XCatError otherwise, naming the
+    weight but no cause: pruning, a height bound or an explicit weight list
+    can each leave a nonzero space below the region."""
     if M.top is None:
         raise XCatError("frontier verification needs an object with a top weight")
     rs = M.rs
@@ -615,7 +613,7 @@ def verify_frontier(M: XObject) -> None:
     for nu in sorted(cands):
         ehat, _, _ = hat_matrices(M, nu)
         if linalg.rank(ehat) != 0:
-            raise XCatError(f"hull pruning dropped a nonzero weight space at {nu}")
+            raise XCatError(f"nonzero weight space one level below the region, at {nu}")
 
 
 def build_smin(
@@ -1007,22 +1005,13 @@ def direct_sum(M: XObject, N: XObject) -> XObject:
     fops: dict[OpKey, Mat] = {}
     keys = set(M.eops) | set(N.eops) | set(M.fops) | set(N.fops)
     for (mu, a, n) in keys:
-        tgt = M.rs.add_root(mu, a, n)
-        em, en = M.eop(mu, a, n), N.eop(mu, a, n)
-        e = _block_diag(M.ring, em, en)
+        e = block_diag(M.ring, [M.eop(mu, a, n), N.eop(mu, a, n)])
         if not e.is_zero():
             eops[(mu, a, n)] = e
-        fm, fn = M.fop(mu, a, n), N.fop(mu, a, n)
-        f = _block_diag(M.ring, fm, fn)
+        f = block_diag(M.ring, [M.fop(mu, a, n), N.fop(mu, a, n)])
         if not f.is_zero():
             fops[(mu, a, n)] = f
     return XObject(M.ring, M.rs, spaces, eops, fops, region, None)
-
-
-def _block_diag(ring: GroundRing, a: Mat, b: Mat) -> Mat:
-    top = hstack([a, Mat.zero(ring, a.rows, b.cols)])
-    bot = hstack([Mat.zero(ring, b.rows, a.cols), b])
-    return vstack([top, bot])
 
 
 # ---------------------------------------------------------------------------
@@ -1099,10 +1088,12 @@ def extend_hom(f: HomMap, M: XObject, N: XObject, mu: Weight) -> HomMap | Obstru
     raising image must lie inside the target's raising image, tested by
     exact solvability.  The particular solution with zero free coordinates
     makes the output deterministic."""
-    ring = M.ring
     index_m, em, fm = delta_space(M, mu)
     index_n, en, fn = delta_space(N, mu)
-    fd = _assemble_f_delta(f, M, N, mu, index_m, index_n)
+    # f on the upper-neighbour sums: both indices are ordered by (alpha, n),
+    # and a neighbour one side lacks gives a block with no rows or columns.
+    ups = sorted({(b.alpha, b.n) for b in index_m} | {(b.alpha, b.n) for b in index_n})
+    fd = block_diag(M.ring, [_hom_at(f, N, M, M.rs.add_root(mu, a, n)) for a, n in ups])
 
     # Obstruction test on the raising generators; their lifts also give the
     # images of the complement, since solving is linear in the right-hand side.
@@ -1113,12 +1104,6 @@ def extend_hom(f: HomMap, M: XObject, N: XObject, mu: Weight) -> HomMap | Obstru
                  if linalg.solve_in_span(en, moved.col(j)) is None)
         return Obstructed(mu, moved.col(j))
 
-    r_m = M.rank(mu)
-    if r_m == 0:
-        out = dict(f)
-        out[mu] = Mat.zero(ring, N.rank(mu), 0)
-        return out
-
     # U @ fm @ V = [I 0]: Uinv is a basis of M_mu whose first k columns span
     # the lowering image, fm @ V[:, :k] == Uinv[:, :k], and Uinv has inverse U.
     snf = linalg.smith_normal_form(fm, track=("U", "Uinv", "V"))
@@ -1126,7 +1111,7 @@ def extend_hom(f: HomMap, M: XObject, N: XObject, mu: Weight) -> HomMap | Obstru
         raise XCatError(f"lowering image is not a direct summand at {mu}")
     k = snf.rank
     images = hstack([fn @ (fd @ snf.V.take_cols(range(k))),
-                     lifted @ snf.Uinv.take_cols(range(k, r_m))])
+                     lifted @ snf.Uinv.take_cols(range(k, M.rank(mu)))])
     f_mu = images @ snf.U
 
     if en @ f_mu != fd @ em or f_mu @ fm != fn @ fd:
@@ -1136,27 +1121,6 @@ def extend_hom(f: HomMap, M: XObject, N: XObject, mu: Weight) -> HomMap | Obstru
     out = dict(f)
     out[mu] = f_mu
     return out
-
-
-def _assemble_f_delta(f: HomMap, M: XObject, N: XObject, mu: Weight,
-                      index_m: DeltaIndex, index_n: DeltaIndex) -> Mat:
-    ring = M.ring
-    rows = _delta_rank(index_n)
-    cols = _delta_rank(index_m)
-    out = Mat.zero(ring, rows, cols).to_lists()
-    pos_n = {(b.alpha, b.n): b for b in index_n}
-    for bm in index_m:
-        bn = pos_n.get((bm.alpha, bm.n))
-        if bn is None:
-            continue
-        up = M.rs.add_root(mu, bm.alpha, bm.n)
-        blk = f.get(up)
-        if blk is None:
-            continue
-        for i in range(bn.rank):
-            for j in range(bm.rank):
-                out[bn.offset + i][bm.offset + j] = blk[i, j]
-    return Mat.from_rows(ring, out, cols=cols)
 
 
 def extend_hom_down(M: XObject, N: XObject, f_top: Mat) -> HomMap | Obstructed:

@@ -12,6 +12,7 @@ from qtilt.forms import (
 from qtilt.linalg import Mat, det_valuation, is_unit_matrix
 from qtilt.ring import embed, qint
 from qtilt.rootsys import weights_below
+from qtilt.serialize import SerializeError, dump_form, load_form
 from qtilt.xcat import (
     Obstructed,
     XObject,
@@ -19,6 +20,7 @@ from qtilt.xcat import (
     build_smin,
     character,
     extend_hom_down,
+    maximal_extend,
     maximality_certificate,
     minimal_extend,
     verify_hom,
@@ -176,3 +178,43 @@ def test_check_form_checks_an_f_whose_e_is_absent(a1, cyc3):
         rep = check_form(replace(M, eops=eops), b)
         assert [(e.check, e.weight, e.witness) for e in rep.failures()] == \
             [("form-contravariant", key[0], f"alpha={key[1]} n={key[2]}")], key
+
+
+def test_check_form_reports_a_gram_of_the_wrong_shape(a1, cyc3):
+    # A 2x2 Gram on the rank-1 top used to be reported as form-shape and
+    # then raise LinAlgError in the contravariance loop.
+    M = build_smax(a1, cyc3, (2,))
+    rep = check_form(M, {(2,): Mat.identity(cyc3, 2)})
+    assert not rep.ok
+    assert [(e.check, e.weight) for e in rep.failures()] == [
+        ("form-shape", (2,)), ("form-nondegenerate", (-2,)), ("form-nondegenerate", (0,))]
+
+
+def test_extend_form_minimal_refuses_a_saturated_space(a1, cyc3):
+    # maximal_extend adjoins a generator that F does not reach, so no Gram
+    # is forced on it.
+    M = maximal_extend(_seed(a1, cyc3, (3,)), (1,))
+    assert M.rank((1,)) == 2
+    with pytest.raises(FormError, match="lowering operator is not surjective"):
+        extend_form_minimal(M, {(3,): Mat.identity(cyc3, 1)}, (1,))
+
+
+def test_complete_nondegenerate_refuses_a_degenerate_form_over_a_field(a1, gf):
+    M = _seed(a1, gf, (1,))
+    with pytest.raises(FormError, match="degenerate extension over a field"):
+        complete_nondegenerate(M, {(1,): Mat.zero(gf, 1, 1)}, (-1,))
+
+
+@pytest.mark.parametrize("top_gram", ["s", "0"])
+def test_complete_nondegenerate_refuses_a_form_degenerate_above(a1, cyc3, top_gram):
+    M = _seed(a1, cyc3, (1,))
+    g = Mat.from_rows(cyc3, [[cyc3.uniformizer() if top_gram == "s" else cyc3.zero()]])
+    with pytest.raises(FormError, match="form degenerate on the upper-neighbour sum"):
+        complete_nondegenerate(M, {(1,): g}, (-1,))
+
+
+def test_load_form_refuses_a_form_over_another_ring(a1, cyc3):
+    M, _ = build_smax_with_form(a1, cyc3, (3,))
+    other, b = build_smax_with_form(a1, cyc3.fraction_field(), (3,))
+    with pytest.raises(SerializeError, match="form ring does not match"):
+        load_form(dump_form(other, b), M)

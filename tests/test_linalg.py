@@ -11,6 +11,7 @@ from qtilt.linalg import (
     TRANSFORMS,
     LinAlgError,
     Mat,
+    block_diag,
     det_valuation,
     free_complement,
     hstack,
@@ -249,6 +250,16 @@ def test_matrix_shape_errors(int3):
         vstack([imat(int3, [[1, 2]]), imat(int3, [[1]])])
 
 
+def test_block_diag_places_blocks_with_empty_sides(int3):
+    a, b = imat(int3, [[1, 2], [3, 4]]), imat(int3, [[5]])
+    no_rows, no_cols = Mat.zero(int3, 0, 2), Mat.zero(int3, 1, 0)
+    got = block_diag(int3, [a, no_rows, no_cols, b])
+    assert got == imat(int3, [[1, 2, 0, 0, 0], [3, 4, 0, 0, 0], [0, 0, 0, 0, 0],
+                              [0, 0, 0, 0, 5]])
+    assert block_diag(int3, []) == Mat.zero(int3, 0, 0)
+    assert block_diag(int3, [no_rows, no_cols]) == Mat.zero(int3, 1, 2)
+
+
 def test_foreign_ring_entries_raise(int3, int5, cyc3):
     # from_rows checks every entry; the combinators check each input's ring
     with pytest.raises(LinAlgError, match="different ring"):
@@ -264,6 +275,9 @@ def test_foreign_ring_entries_raise(int3, int5, cyc3):
         a.T @ b
     with pytest.raises(LinAlgError, match="mixed rings"):
         b + imat(int3, [[3]])
+    for blocks in ([b], [a, b]):
+        with pytest.raises(LinAlgError, match="mixed rings"):
+            block_diag(int3, blocks)
     # same-ring results are built without a per-entry check and stay exact
     c = hstack([a, imat(int3, [[4]])])
     assert c == imat(int3, [[1, 2, 4]]) and c.T.T == c

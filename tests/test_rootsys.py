@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtilt import rootsys
 from qtilt.rootsys import (
     RootSystemError,
     dominance_leq,
@@ -271,7 +272,8 @@ def test_inner_form_symmetric_positive(a2, b2, g2):
 
 
 def test_positive_roots_count_and_fresh_list():
-    counts = {"A1": 1, "A3": 6, "B3": 9, "C3": 9, "D4": 12, "G2": 6, "F4": 24, "E6": 36}
+    counts = {"A1": 1, "A3": 6, "B3": 9, "C3": 9, "D4": 12, "G2": 6, "F4": 24, "E6": 36,
+              "E7": 63, "E8": 120}
     for lbl, n in counts.items():
         rs = root_system(lbl)
         roots = rs.positive_roots()
@@ -326,3 +328,86 @@ def test_integer_dominance_matches_fraction_reference(label, data):
     want = _fraction_dominance(rs, mu, lam)
     assert dominance_leq(rs, mu, lam) == want
     assert rs.lattice_leq(rs.lattice_coords(mu), rs.lattice_coords(lam)) == want
+
+
+def test_rank_above_the_limit_is_refused_before_any_matrix(monkeypatch):
+    # A label used to build its n x n matrix and eliminate it over Fraction
+    # before any check: A1000 would have run for about an hour.
+    def refuse(*args):
+        raise AssertionError("a matrix was built for a refused rank")
+
+    monkeypatch.setattr(rootsys, "_label_cartan", refuse)
+    for label in ("A65", "D100", "A1000000000"):
+        with pytest.raises(RootSystemError, match=r"exceeds the largest supported rank 64"):
+            root_system(label)
+    chain = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(65)]
+             for i in range(65)]
+    monkeypatch.setattr(rootsys, "_validate", refuse)
+    with pytest.raises(RootSystemError, match=r"rank 65 exceeds"):
+        root_system(chain)
+
+
+def test_rank_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(rootsys, "MAX_RANK", 3)
+    assert root_system("B3").rank == root_system([[2, -1], [-1, 2]]).rank + 1
+    for spec in ("A4", [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]):
+        with pytest.raises(RootSystemError, match="rank 4 exceeds the largest supported rank 3"):
+            root_system(spec)
+
+
+def _minors_positive(cartan, d):
+    """Sylvester's criterion on D C, with each leading minor a Leibniz sum
+    over permutations: shares nothing with the elimination under test."""
+    n = len(cartan)
+    b = [[d[i] * cartan[i][j] for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        det = 0
+        for perm in itertools.permutations(range(k)):
+            inv = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+            term = (-1) ** inv
+            for i in range(k):
+                term *= b[i][perm[i]]
+            det += term
+        if det <= 0:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_finite_type_test_matches_sylvester(data):
+    # The pivot signs of the one elimination against the leading minors of
+    # the symmetrized matrix; accepted matrices get C C^-1 = I.
+    n = data.draw(st.integers(1, 5))
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    pairs = [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if data.draw(st.booleans()):
+                c[i][j], c[j][i] = data.draw(st.sampled_from(pairs))
+    try:
+        d = rootsys._symmetrizer(c)
+    except RootSystemError:
+        return
+    try:
+        rs = root_system(c)
+    except RootSystemError as exc:
+        assert str(exc) == "Cartan matrix is not of finite type"
+        assert not _minors_positive(c, d)
+        return
+    assert _minors_positive(c, d)
+    inv = rs._inv_cartan
+    assert all(sum(c[i][k] * inv[k][j] for k in range(n)) == (i == j)
+               for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("label,index,dim", [
+    ("E6", 0, 27), ("E7", 6, 56), ("E7", 0, 133), ("E8", 7, 248)])
+def test_exceptional_e_fundamental_dimensions(label, index, dim):
+    # The product formula and the Freudenthal oracle on E6-E8, which no
+    # other test builds past their positive roots.
+    rs = root_system(label)
+    lam = tuple(int(i == index) for i in range(rs.rank))
+    assert weyl_dimension(rs, lam) == dim
+    char = weyl_character(rs, lam)
+    assert sum(char.values()) == dim and char[lam] == 1

@@ -788,3 +788,80 @@ def test_cli_hom_extend_across_rings_exits_2(runner, tmp_path):
     assert res.exit_code == 2, res.output
     assert "error:" in res.stderr
     assert isinstance(res.exception, SystemExit)
+
+
+def _build_pair(runner, tmp_path):
+    paths = []
+    for kind, name in (("smax", "a.json"), ("smax-form", "b.json")):
+        path = tmp_path / name
+        res = runner.invoke(main, ["build", "--kind", kind, "--root", "A1",
+                                   "--ring", "cyc:3", "--weight", "3", "--out", str(path)])
+        assert res.exit_code == 0, res.output
+        paths.append(path)
+    return paths
+
+
+def test_cli_hom_extend_out_writes_the_map(runner, tmp_path):
+    a, b = _build_pair(runner, tmp_path)
+    m = tmp_path / "m.json"
+    res = runner.invoke(main, ["hom-extend", str(a), str(b), "--out", str(m)])
+    assert res.exit_code == 0, res.output
+    assert res.output == f"wrote {m}\n"
+    golden = os.path.join(os.path.dirname(__file__), "..", "docs", "golden")
+    with open(os.path.join(golden, "a1_hom_smax_to_smaxform_cyc3_w3.json")) as fh:
+        assert m.read_text() == fh.read()
+
+
+@pytest.mark.parametrize("target", ["a", "b", "dot_a", "out_dir_a"])
+def test_cli_hom_extend_out_naming_an_input_is_refused(runner, tmp_path, monkeypatch, target):
+    # --out a.json used to overwrite the input a.json with the map, exit 0.
+    a, b = _build_pair(runner, tmp_path)
+    before = {p: p.read_bytes() for p in (a, b)}
+    out = {"a": str(a), "b": str(b), "dot_a": os.path.join(str(tmp_path), ".", "a.json"),
+           "out_dir_a": "a.json"}[target]
+    if target == "out_dir_a":
+        monkeypatch.setenv("QTILT_OUT_DIR", str(tmp_path))
+    res = runner.invoke(main, ["hom-extend", str(a), str(b), "--out", out])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error:") and "input file" in res.stderr
+    assert "wrote" not in res.output
+    assert {p: p.read_bytes() for p in (a, b)} == before
+
+
+def test_cli_verify_frontier_below_a_height_bound_exits_2(runner, tmp_path):
+    # The height bound, not pruning, cuts this build; the error used to
+    # blame hull pruning.
+    out = tmp_path / "f.json"
+    res = runner.invoke(main, ["build", "--kind", "smax", "--root", "A1", "--ring", "cyc:3",
+                               "--weight", "4", "--no-prune", "--height-bound", "1",
+                               "--verify-frontier", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "error: nonzero weight space one level below the region, at (0,)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["weyl-char", "--root", "A65", "--weight", "1"],
+    ["build", "--kind", "smin", "--root", "A65", "--ring", "generic", "--weight", "1",
+     "--out", "x.json"],
+])
+def test_cli_root_rank_above_the_limit_exits_2(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "error: rank 65 exceeds the largest supported rank 64\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_cli_form_check_of_a_form_over_another_ring_exits_2(runner, tmp_path):
+    paths = {}
+    for ring in ("cyc:3", "generic"):
+        obj, form = tmp_path / f"{ring[:3]}.json", tmp_path / f"{ring[:3]}.form.json"
+        res = runner.invoke(main, ["build", "--kind", "smax-form", "--root", "A1",
+                                   "--ring", ring, "--weight", "3", "--out", str(obj),
+                                   "--form-out", str(form)])
+        assert res.exit_code == 0, res.output
+        paths[ring] = (obj, form)
+    res = runner.invoke(main, ["form-check", str(paths["cyc:3"][0]), str(paths["generic"][1])])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "error: form ring does not match object ring\n"

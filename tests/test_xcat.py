@@ -332,6 +332,15 @@ def test_random_dominant_builds_certify(label, coords, rdesc):
     assert combo == character(T)
 
 
+def test_verify_frontier_names_no_cause(a1, gf):
+    # An explicit weight list, not hull pruning, leaves (-2,) out here; the
+    # message used to blame pruning all the same.
+    M = build_smin(a1, gf, (2,), weights=[(2,), (0,)])
+    with pytest.raises(XCatError, match=r"one level below the region, at \(-2,\)") as exc:
+        verify_frontier(M)
+    assert "pruning" not in str(exc.value)
+
+
 def test_verify_frontier_flag(a1, a2, cyc3):
     verify_frontier(build_smin(a1, cyc3, (4,)))
     verify_frontier(build_smax(a2, cyc3, (1, 1)))
@@ -661,6 +670,28 @@ def test_base_change_entries_share_one_fraction_field(a2, cyc3, gf):
     assert digest == "77e29aa12bbf88dcebb6469438fa43e3eb1d17b4d06646b4fce011916395709e"
 
 
+def test_base_change_over_int_p_calls_no_polynomial_kernel(monkeypatch, a2, int3):
+    # Every entry over int:p is a constant n * 3**k / d, already reduced in
+    # Q: the base change builds it on integers.  It used to make one
+    # zpoly.mul and one _finish call per nonzero entry (364 here).  The
+    # digest is the dump the polynomial route gave.
+    from qtilt import ring as ring_mod
+    from qtilt import zpoly
+    T = build_smax(a2, int3, (3, 1))
+
+    def refuse(*args):
+        raise AssertionError("the polynomial kernel was called on constants")
+
+    with monkeypatch.context() as m:
+        for name, f in vars(zpoly).items():
+            if callable(f) and getattr(f, "__module__", None) == zpoly.__name__:
+                m.setattr(zpoly, name, refuse)
+        m.setattr(ring_mod, "_finish", refuse)
+        K = base_change_to_field(T)
+    digest = hashlib.sha256(dump_xobject(K).encode()).hexdigest()
+    assert digest == "2729f57f62197c8597555f9e2fe4de156debaa2a148ee4357f456d58a6ce88fc"
+
+
 def test_base_change_identity_on_fields(a1, gf):
     M = build_smin(a1, gf, (2,))
     assert base_change_to_field(M) is M
@@ -719,6 +750,35 @@ def test_extend_hom_obstruction_smax_into_smin(a1, cyc3):
     assert isinstance(res, Obstructed)
     assert res.weight == (1,)
     assert not res.witness.is_zero()
+
+
+def _rank0_pair(a1, gf):
+    """M: the Weyl module L(1) over generic, extended across (-3,), where its
+    space has rank 0.  N: M with a rank-1 space at (-3,) that F maps (-1,)
+    onto, which breaks X3a on N."""
+    M = build_smin(a1, gf, (1,), weights=[(1,), (-1,), (-3,)])
+    assert (-3,) in M.region and M.rank((-3,)) == 0
+    N = replace(M, spaces={**M.spaces, (-3,): 1},
+                fops={**M.fops, ((-3,), 0, 1): Mat.from_rows(gf, [[gf.one()]])})
+    return M, N
+
+
+def test_extend_hom_checks_the_squares_at_a_rank_0_weight(a1, gf):
+    # A rank-0 source weight used to get a zero map with no square check,
+    # so extend_hom_down returned a map that verify_hom rejects: the zero
+    # map at (-3,) does not commute with F from (-1,).
+    M, N = _rank0_pair(a1, gf)
+    with pytest.raises(XCatError, match=r"extension squares fail at \(-3,\)"):
+        extend_hom_down(M, N, Mat.identity(gf, 1))
+
+
+def test_extend_hom_across_a_rank_0_weight(a1, gf):
+    M, _ = _rank0_pair(a1, gf)
+    f = extend_hom_down(M, M, Mat.identity(gf, 1))
+    assert not isinstance(f, Obstructed)
+    assert sorted(f) == [(-3,), (-1,), (1,)]
+    assert (f[(-3,)].rows, f[(-3,)].cols) == (0, 0)
+    assert verify_hom(M, M, f).ok
 
 
 # ---------------------------------------------------------------------------
