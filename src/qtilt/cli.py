@@ -130,6 +130,8 @@ _fmt_opt = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
 def build(kind, root, ring, weight, out, form_out, prune, height_bound, verify_frontier):
     """Construct a minimal (Weyl) or maximal (tilting) object."""
     lam = _parse_weight(weight)  # a usage error, reported before any library error
+    if form_out is not None and kind != "smax-form":
+        raise click.UsageError(f"--form-out needs --kind smax-form, not {kind}")
     args = (root_system(root), parse_ring(ring), lam)
     kw = dict(prune=prune, height_bound=height_bound)
     b = None

@@ -43,10 +43,22 @@ def _gram(b: GradedForm, M: XObject, mu: Weight) -> Mat:
     return g
 
 
+def _shape_fault(g: Mat, M: XObject, mu: Weight) -> str | None:
+    """Why g cannot be the Gram matrix at mu, or None when its shape fits."""
+    if g.rows != M.rank(mu) or g.cols != M.rank(mu):
+        return f"Gram is {g.rows}x{g.cols}, space has rank {M.rank(mu)}"
+    return None
+
+
 def _gram_delta(b: GradedForm, M: XObject, mu: Weight, index) -> Mat:
-    """Block-diagonal Gram matrix on the upper-neighbour sum."""
-    return block_diag(M.ring, [_gram(b, M, M.rs.add_root(mu, blk.alpha, blk.n))
-                               for blk in index])
+    """Block-diagonal Gram matrix on the upper-neighbour sum; a Gram of the
+    wrong shape raises FormError naming its weight."""
+    ups = [M.rs.add_root(mu, blk.alpha, blk.n) for blk in index]
+    for up in ups:
+        fault = _shape_fault(_gram(b, M, up), M, up)
+        if fault:
+            raise FormError(f"form at {up}: {fault}")
+    return block_diag(M.ring, [_gram(b, M, up) for up in ups])
 
 
 def check_form(M: XObject, b: GradedForm) -> Report:
@@ -58,9 +70,9 @@ def check_form(M: XObject, b: GradedForm) -> Report:
     misshapen = set()
     for mu in sorted(set(M.spaces) | set(b)):
         g = _gram(b, M, mu)
-        if g.rows != M.rank(mu) or g.cols != M.rank(mu):
-            rep.add("form-shape", mu, False,
-                    f"Gram is {g.rows}x{g.cols}, space has rank {M.rank(mu)}")
+        fault = _shape_fault(g, M, mu)
+        if fault:
+            rep.add("form-shape", mu, False, fault)
             misshapen.add(mu)
             continue
         if g != g.T:
@@ -158,7 +170,6 @@ def complete_nondegenerate(
 def build_smax_with_form(
     rs, ring: GroundRing, lam: Weight,
     prune: bool = True, height_bound: int | None = None,
-    weights: list[Weight] | None = None,
 ) -> tuple[XObject, GradedForm]:
     """Build the maximal object together with a non-degenerate symmetric
     contravariant form, by completing the form at every extension step.
@@ -174,7 +185,7 @@ def build_smax_with_form(
         M, b = complete_nondegenerate(M, b, mu)
         return M
 
-    M = _build(rs, ring, lam, step, prune, height_bound, weights)
+    M = _build(rs, ring, lam, step, prune, height_bound)
     cert = maximality_certificate(M)
     if not cert.ok:
         raise FormError(f"form-carrying build failed maximality: {cert.failures()}")

@@ -298,20 +298,27 @@ def _validate(cartan: list[list[int]]) -> None:
                 raise RootSystemError("Cartan zero pattern must be symmetric")
 
 
-def root_system(spec: str | list[list[int]], label: str | None = None) -> RootSystem:
+def root_system(spec: str | list[list[int]]) -> RootSystem:
     """Build a validated root system from a label like "B3" or an explicit
-    Cartan matrix of finite type."""
+    Cartan matrix of finite type.  A label's rank is read in ASCII digits
+    and the system carries the canonical label ("A01" gives "A1"); a matrix
+    gives the label "custom"."""
     if isinstance(spec, str):
-        m = re.fullmatch(r"([A-G])(\d+)", spec.strip())
+        m = re.fullmatch(r"([A-G])([0-9]+)", spec.strip())
         if not m:
             raise RootSystemError(f"bad root system label {spec!r}")
-        _check_rank(int(m.group(2)))
-        cartan = _label_cartan(m.group(1), int(m.group(2)))
-        label = spec.strip()
+        family, digits = m.group(1), m.group(2).lstrip("0") or "0"
+        if len(digits) > len(str(MAX_RANK)):
+            raise RootSystemError(f"rank of {len(digits)} digits exceeds the "
+                                  f"largest supported rank {MAX_RANK}")
+        n = int(digits)
+        _check_rank(n)
+        cartan = _label_cartan(family, n)
+        label = f"{family}{n}"
     else:
         _check_rank(len(spec))
         cartan = [list(map(int, row)) for row in spec]
-        label = label or "custom"
+        label = "custom"
     _validate(cartan)
     d = _symmetrizer(cartan)
     inv = _finite_type_inverse(cartan)

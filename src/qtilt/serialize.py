@@ -11,6 +11,7 @@ sorted, and there are no timestamps in the payload.
 from __future__ import annotations
 
 import json
+import sys
 
 from .linalg import Mat
 from .ring import GroundRing, RingElem, parse_elem, parse_ring
@@ -269,6 +270,11 @@ def _loads(text: str) -> object:
         return json.loads(text)
     except RecursionError:
         raise SerializeError("JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer literal past the int-string limit
+        raise SerializeError("JSON integer has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def load_xobject(text: str) -> XObject:

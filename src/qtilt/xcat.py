@@ -116,9 +116,6 @@ class XObject:
     def rank(self, mu: Weight) -> int:
         return self.spaces.get(mu, 0)
 
-    def weights(self) -> list[Weight]:
-        return sorted(self.spaces)
-
     def eop(self, mu: Weight, a: int, n: int) -> Mat:
         """E_{mu, alpha_a, n}: M_mu -> M_{mu + n alpha_a} (zero when absent)."""
         if n == 0:
@@ -553,41 +550,17 @@ def _seed(rs: RootSystem, ring: GroundRing, lam: Weight) -> XObject:
     )
 
 
-def _build_order(
-    rs: RootSystem, lam: Weight, prune: bool, height_bound: int | None,
-    weights: list[Weight] | None,
-) -> list[Weight]:
-    if weights is not None:
-        if not weights or weights[0] != lam:
-            raise XCatError("explicit weight list must start at the highest weight")
-        seen = set()
-        for i, w in enumerate(weights):
-            rs.check_weight(w)
-            if w in seen:
-                raise XCatError(f"duplicate weight {w}")
-            seen.add(w)
-            for prev in weights[:i]:
-                if prev != w and dominance_leq(rs, prev, w):
-                    raise XCatError(
-                        f"weight list not closed: {w} dominates the earlier {prev}"
-                    )
-        return list(weights)
-    if not rs.is_dominant(lam):
-        raise XCatError(
-            f"{lam} is not dominant; full builds are refused (pass an explicit "
-            "finite closed weight list to extend anyway)"
-        )
-    return weights_below(rs, lam, prune_hull=prune, height_bound=height_bound)
-
-
 def _build(
     rs: RootSystem, ring: GroundRing, lam: Weight, step,
-    prune: bool, height_bound: int | None, weights: list[Weight] | None,
+    prune: bool, height_bound: int | None,
 ) -> XObject:
-    """The build driver: the build order, the rank-1 seed at lam, then
-    ``M = step(M, mu)`` at every later weight of the order.  The object
-    returned carries no word memo, so its checks evaluate their own words."""
-    order = _build_order(rs, lam, prune, height_bound, weights)
+    """The build driver: the region ``weights_below(lam)``, the rank-1 seed
+    at lam, then ``M = step(M, mu)`` at every later weight of the region.
+    The object returned carries no word memo, so its checks evaluate their
+    own words."""
+    if not rs.is_dominant(lam):
+        raise XCatError(f"{lam} is not dominant; full builds are refused")
+    order = weights_below(rs, lam, prune_hull=prune, height_bound=height_bound)
     M = _seed(rs, ring, lam)
     for mu in order[1:]:
         M = step(M, mu)
@@ -597,10 +570,10 @@ def _build(
 
 def verify_frontier(M: XObject) -> None:
     """Recompute one height level beyond the processed region and insist the
-    would-be weight spaces are zero, turning the build's weight list into a
+    would-be weight spaces are zero, turning the build's region into a
     checked claim for this object.  Raises XCatError otherwise, naming the
-    weight but no cause: pruning, a height bound or an explicit weight list
-    can each leave a nonzero space below the region."""
+    weight but no cause: pruning or a height bound can each leave a nonzero
+    space below the region."""
     if M.top is None:
         raise XCatError("frontier verification needs an object with a top weight")
     rs = M.rs
@@ -622,10 +595,9 @@ def build_smin(
     lam: Weight,
     prune: bool = True,
     height_bound: int | None = None,
-    weights: list[Weight] | None = None,
 ) -> XObject:
     """The minimal object with rank-1 top lam: the Weyl module W(lam)."""
-    return _build(rs, ring, lam, minimal_extend, prune, height_bound, weights)
+    return _build(rs, ring, lam, minimal_extend, prune, height_bound)
 
 
 def build_smax(
@@ -634,12 +606,11 @@ def build_smax(
     lam: Weight,
     prune: bool = True,
     height_bound: int | None = None,
-    weights: list[Weight] | None = None,
 ) -> XObject:
     """The maximal object with rank-1 top lam: the indecomposable tilting
     module T(lam) over a local generic ring (coincides with build_smin over
     a field)."""
-    return _build(rs, ring, lam, maximal_extend, prune, height_bound, weights)
+    return _build(rs, ring, lam, maximal_extend, prune, height_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,19 @@ def test_check_form_reports_a_gram_of_the_wrong_shape(a1, cyc3):
         ("form-shape", (2,)), ("form-nondegenerate", (-2,)), ("form-nondegenerate", (0,))]
 
 
+@pytest.mark.parametrize("extend", ["minimal", "complete"])
+def test_a_gram_of_the_wrong_shape_is_refused_by_name(a1, cyc3, extend):
+    # A 2x2 Gram on the rank-1 top used to raise LinAlgError "shape
+    # mismatch" from the matrix product.
+    M = _seed(a1, cyc3, (1,))
+    b = {(1,): Mat.identity(cyc3, 2)}
+    with pytest.raises(FormError, match=r"form at \(1,\): Gram is 2x2, space has rank 1"):
+        if extend == "minimal":
+            extend_form_minimal(minimal_extend(M, (-1,)), b, (-1,))
+        else:
+            complete_nondegenerate(M, b, (-1,))
+
+
 def test_extend_form_minimal_refuses_a_saturated_space(a1, cyc3):
     # maximal_extend adjoins a generator that F does not reach, so no Gram
     # is forced on it.

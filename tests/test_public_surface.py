@@ -7,7 +7,7 @@ import inspect
 from pathlib import Path
 
 import qtilt
-from qtilt import ring, xcat
+from qtilt import forms, ring, rootsys, xcat
 
 
 def _package_imports() -> list[tuple[str, str]]:
@@ -38,6 +38,16 @@ def test_package_reexports_only_xcat_exports():
 def test_local_ring_constructors_take_only_their_parameter():
     assert list(inspect.signature(ring.cyclotomic_local).parameters) == ["l"]
     assert list(inspect.signature(ring.integer_local).parameters) == ["p"]
+
+
+def test_builds_take_their_region_from_prune_and_height_bound_alone():
+    for build in (xcat.build_smin, xcat.build_smax, forms.build_smax_with_form):
+        assert list(inspect.signature(build).parameters) == [
+            "rs", "ring", "lam", "prune", "height_bound"], build.__name__
+
+
+def test_root_system_takes_only_its_spec():
+    assert list(inspect.signature(rootsys.root_system).parameters) == ["spec"]
 
 
 def test_ring_construction_does_no_element_arithmetic(monkeypatch):

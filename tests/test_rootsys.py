@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -353,6 +354,23 @@ def test_rank_limit_is_inclusive(monkeypatch):
     for spec in ("A4", [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]):
         with pytest.raises(RootSystemError, match="rank 4 exceeds the largest supported rank 3"):
             root_system(spec)
+
+
+def test_a_label_is_read_in_ascii_digits_and_made_canonical(a1):
+    # "A01" used to keep its label, so it compared unequal to A1.
+    for spec in ("A01", "A001", " A1 "):
+        assert root_system(spec) == a1 and root_system(spec).label == "A1"
+    assert root_system("E08").label == "E8"
+    with pytest.raises(RootSystemError, match="bad root system label"):
+        root_system("A\u0661")  # ARABIC-INDIC DIGIT ONE, a Unicode digit
+
+
+def test_a_rank_of_too_many_digits_is_refused():
+    # A rank past the interpreter's int-string limit used to raise a plain
+    # ValueError from int().
+    n = sys.get_int_max_str_digits() + 1
+    with pytest.raises(RootSystemError, match=f"rank of {n} digits exceeds"):
+        root_system("A" + "1" * n)
 
 
 def _minors_positive(cartan, d):

@@ -20,7 +20,14 @@ from qtilt.serialize import (
     load_form,
     load_xobject,
 )
-from qtilt.xcat import XCatError, build_smax, build_smin, character, check_axioms
+from qtilt.xcat import (
+    XCatError,
+    build_smax,
+    build_smin,
+    character,
+    check_axioms,
+    direct_sum,
+)
 
 
 def test_xobject_roundtrip(a2, cyc3):
@@ -865,3 +872,74 @@ def test_cli_form_check_of_a_form_over_another_ring_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["form-check", str(paths["cyc:3"][0]), str(paths["generic"][1])])
     assert res.exit_code == 2, res.output
     assert res.stderr == "error: form ring does not match object ring\n"
+
+
+@pytest.mark.parametrize("kind", ["smin", "smax"])
+def test_cli_form_out_without_a_form_build_exits_2(runner, tmp_path, monkeypatch, kind):
+    # --form-out used to be ignored without --kind smax-form: exit 0 and
+    # no form file.
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, ["build", "--kind", kind, "--root", "A1", "--ring", "cyc:3",
+                               "--weight", "2", "--out", "o.json", "--form-out", "f.json"])
+    assert res.exit_code == 2, res.output
+    assert f"--form-out needs --kind smax-form, not {kind}" in res.stderr
+    assert "wrote" not in res.output
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def _with_a_huge_int(d):
+    """The JSON text of d with its "HUGE" placeholder replaced by an integer
+    one digit past the interpreter's int-string limit."""
+    return json.dumps(d).replace('"HUGE"', "1" * (sys.get_int_max_str_digits() + 1))
+
+
+def test_a_json_integer_past_the_digit_limit_exits_2(runner, tmp_path):
+    # json.loads raises a plain ValueError here, which used to end in a
+    # traceback, exit 1.
+    M = load_xobject(json.dumps(_golden_dict(_CYC3_OBJ)))
+    obj, form = _golden_dict(_CYC3_OBJ), _golden_dict("a1_smaxform_cyc3_w3.form.json")
+    obj["operators"][0]["alpha"] = form["weights"][0]["coords"][0] = "HUGE"
+    obj, form = _with_a_huge_int(obj), _with_a_huge_int(form)
+    with pytest.raises(SerializeError, match="JSON integer has more than"):
+        load_xobject(obj)
+    with pytest.raises(SerializeError, match="JSON integer has more than"):
+        load_form(form, M)
+    bad, good, bad_form = tmp_path / "o.json", tmp_path / "m.json", tmp_path / "f.json"
+    bad.write_text(obj)
+    good.write_text(dump_xobject(M))
+    bad_form.write_text(form)
+    for args in (["check", str(bad)], ["form-check", str(good), str(bad_form)]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith("error: JSON integer has more than")
+        assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("source", ["root", "file"])
+def test_a_root_label_of_too_many_digits_exits_2(runner, tmp_path, source):
+    # int() of the rank used to raise ValueError, a traceback with exit 1.
+    label = "A" + "1" * (sys.get_int_max_str_digits() + 1)
+    if source == "root":
+        args = ["weyl-char", "--root", label, "--weight", "1"]
+    else:
+        d = _golden_dict(_CYC3_OBJ)
+        d["root_system"]["label"] = label
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        args = ["check", str(bad)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "digits exceeds the largest supported rank 64" in res.stderr
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_an_object_file_label_is_made_canonical(a1, cyc3):
+    # "A01" used to be kept: the object compared unequal to one over A1,
+    # direct_sum refused the pair, and a re-dump carried "A01".
+    d = _golden_dict(_CYC3_OBJ)
+    d["root_system"]["label"] = "A01"
+    M = load_xobject(json.dumps(d))
+    assert M.rs == a1
+    assert dump_xobject(M) == dump_xobject(load_xobject(json.dumps(_golden_dict(_CYC3_OBJ))))
+    assert character(direct_sum(M, build_smin(a1, cyc3, (1,)))) == {
+        (3,): 1, (1,): 3, (-1,): 3, (-3,): 1}

@@ -222,15 +222,10 @@ def test_build_refuses_non_dominant(a1, gf):
         build_smax(a1, gf, (-2,))
 
 
-def test_build_with_explicit_weights(a1, gf):
-    M = build_smin(a1, gf, (1,), weights=[(1,), (-1,), (-3,)])
+def test_build_without_pruning_below_a_height_bound(a1, gf):
+    # The region is (1,), (-1,), (-3,); the space at (-3,) has rank 0.
+    M = build_smin(a1, gf, (1,), prune=False, height_bound=2)
     assert character(M) == {(1,): 1, (-1,): 1}
-    with pytest.raises(XCatError):
-        build_smin(a1, gf, (1,), weights=[(1,), (-1,), (1,)])
-    with pytest.raises(XCatError):
-        build_smin(a1, gf, (1,), weights=[(1,), (-3,), (-1,)])  # out of order
-    with pytest.raises(XCatError):
-        build_smin(a1, gf, (1,), weights=[(-1,), (1,)])
 
 
 def test_build_smax_field_equals_smin(a1, a2, gf):
@@ -333,9 +328,9 @@ def test_random_dominant_builds_certify(label, coords, rdesc):
 
 
 def test_verify_frontier_names_no_cause(a1, gf):
-    # An explicit weight list, not hull pruning, leaves (-2,) out here; the
-    # message used to blame pruning all the same.
-    M = build_smin(a1, gf, (2,), weights=[(2,), (0,)])
+    # A height bound, not hull pruning, leaves (-2,) out here; the message
+    # used to blame pruning all the same.
+    M = build_smin(a1, gf, (2,), height_bound=1)
     with pytest.raises(XCatError, match=r"one level below the region, at \(-2,\)") as exc:
         verify_frontier(M)
     assert "pruning" not in str(exc.value)
@@ -756,7 +751,7 @@ def _rank0_pair(a1, gf):
     """M: the Weyl module L(1) over generic, extended across (-3,), where its
     space has rank 0.  N: M with a rank-1 space at (-3,) that F maps (-1,)
     onto, which breaks X3a on N."""
-    M = build_smin(a1, gf, (1,), weights=[(1,), (-1,), (-3,)])
+    M = build_smin(a1, gf, (1,), prune=False, height_bound=2)
     assert (-3,) in M.region and M.rank((-3,)) == 0
     N = replace(M, spaces={**M.spaces, (-3,): 1},
                 fops={**M.fops, ((-3,), 0, 1): Mat.from_rows(gf, [[gf.one()]])})
@@ -998,23 +993,23 @@ def _fresh(M):
     return load_xobject(dump_xobject(M))
 
 
-@pytest.mark.parametrize("label,ring,lam,explicit", [
+@pytest.mark.parametrize("label,ring,lam,unpruned", [
     ("A1", "cyc:3", (8,), False), ("A1", "int:3", (14,), False),
     ("A2", "cyc:3", (2, 1), False), ("B2", "cyc:3", (1, 1), False),
     ("G2", "cyc:3", (1, 0), False),
     # Outside the hull: seven supported weights among 15, rank-0 steps
     # between supported ones.
     ("A2", "cyc:3", (1, 1), True)])
-def test_step_by_step_on_fresh_copies_matches_the_build(label, ring, lam, explicit):
+def test_step_by_step_on_fresh_copies_matches_the_build(label, ring, lam, unpruned):
     # Every step runs on a copy with no word memo and no support index,
     # so it evaluates every word itself; the builds hand both on from step
     # to step.  The outputs are byte-identical, and the index a step hands
     # on is the one its object would compute.
     rs, R = root_system(label), parse_ring(ring)
-    order = (weights_below(rs, lam, prune_hull=False, height_bound=4) if explicit
+    order = (weights_below(rs, lam, prune_hull=False, height_bound=4) if unpruned
              else weights_below(rs, lam, prune_hull=True))
-    kw = {"weights": order} if explicit else {}
-    if explicit:
+    kw = {"prune": False, "height_bound": 4} if unpruned else {}
+    if unpruned:
         assert any(w not in build_smin(rs, R, lam, **kw).spaces for w in order[:-1])
     for build, step in ((build_smin, minimal_extend), (build_smax, maximal_extend),
                         (build_smax_with_form, complete_nondegenerate)):
