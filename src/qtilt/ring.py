@@ -414,7 +414,8 @@ def parse_ring(descriptor: str) -> GroundRing:
         return rational_field()
     m = _DESCRIPTOR_RE.fullmatch(descriptor)
     if not m:
-        raise RingError(f"unknown ring descriptor {descriptor!r}")
+        shown = _quoted(descriptor, f"{len(descriptor)} characters")
+        raise RingError(f"unknown ring descriptor {shown}")
     return (cyclotomic_local if m[1] == "cyc" else integer_local)(_number(m[2]))
 
 
@@ -895,6 +896,12 @@ _NUMBER_RE = re.compile(r"-?\d+(?:/\d+)?")
 _POWER_RE = re.compile(r"(s|\d+)\^(\d+) \* (.*)")
 
 
+def _quoted(s: str, size: str) -> str:
+    """s quoted for an error message: whole when it has at most 40
+    characters, else its first 40 and then size."""
+    return repr(s) if len(s) <= 40 else f"{s[:40]!r}... ({size})"
+
+
 def _number(s: str) -> int | Fraction:
     """The integer or fraction s, of the form of _NUMBER_RE; RingError for
     a zero denominator and for more digits than int() converts, quoting at
@@ -903,7 +910,7 @@ def _number(s: str) -> int | Fraction:
     try:
         return Fraction(int(num), int(den)) if den else int(num)
     except (ValueError, ZeroDivisionError):
-        shown = repr(s) if len(s) <= 40 else f"{s[:40]!r}... ({sum(map(str.isdigit, s))} digits)"
+        shown = _quoted(s, f"{sum(map(str.isdigit, s))} digits")
         raise RingError(f"bad number {shown}") from None
 
 

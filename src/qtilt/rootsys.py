@@ -306,7 +306,10 @@ def root_system(spec: str | list[list[int]]) -> RootSystem:
     if isinstance(spec, str):
         m = re.fullmatch(r"([A-G])([0-9]+)", spec.strip())
         if not m:
-            raise RootSystemError(f"bad root system label {spec!r}")
+            # Quoted as ring.parse_ring quotes a descriptor: at most 40
+            # characters, then the length.
+            shown = repr(spec) if len(spec) <= 40 else f"{spec[:40]!r}... ({len(spec)} characters)"
+            raise RootSystemError(f"bad root system label {shown}")
         family, digits = m.group(1), m.group(2).lstrip("0") or "0"
         if len(digits) > len(str(MAX_RANK)):
             raise RootSystemError(f"rank of {len(digits)} digits exceeds the "

@@ -152,7 +152,7 @@ class XObject:
     @cached_property
     def _words(self) -> dict[Weight, dict]:
         """The F.E words evaluated by ``hat_matrices``, per source weight,
-        each keyed as in ``_commutation_rhs``."""
+        each keyed as in ``_lusztig_terms``."""
         return {}
 
     @cached_property
@@ -339,28 +339,46 @@ def _word(M: XObject, src: Weight, word) -> Value:
     return rows, cols, prod if prod is not None else Mat.identity(M.ring, cols)
 
 
-def _sum(ring: GroundRing, rows: int, cols: int, terms) -> Value:
-    """The sum of the (coeff, value) terms, coeff None standing for 1,
-    accumulated entrywise; each term must be rows x cols, and a lone term
-    comes back as it is or scaled."""
-    live = []
+def _accumulate(ring: GroundRing, acc: list[list[RingElem]], i0: int, j0: int,
+                rows: int, cols: int, terms) -> bool:
+    """Add the (coeff, value) terms, coeff None standing for 1, entrywise
+    into the rows x cols window of acc whose top left entry is (i0, j0);
+    returns whether any term was nonzero.
+
+    Every term must be rows x cols over ring (a ``LinAlgError`` otherwise,
+    as ``Mat.__add__`` raises).  Only nonzero entries are scaled and added,
+    in term order, so each entry of the window gains the sum a term-by-term
+    ``Mat`` sum would give it.  This is the one accumulation loop of the
+    module: ``_sum`` runs it on a fresh buffer and ``hat_matrices`` on the
+    blocks of one buffer.
+    """
+    live = False
     for coeff, (r, c, prod) in terms:
         if r != rows or c != cols:
             raise linalg.LinAlgError("shape mismatch in sum")
-        if prod is not None:
-            live.append((coeff, prod))
-    if not live:
-        return rows, cols, None
-    if len(live) == 1:
-        coeff, prod = live[0]
-        return rows, cols, prod if coeff is None else prod.scale(coeff)
-    acc = [[ring.zero()] * cols for _ in range(rows)]
-    for coeff, prod in live:
-        for arow, prow in zip(acc, prod.entries):
-            for j, x in enumerate(prow):
+        if prod is None:
+            continue
+        if prod.ring is not ring and prod.ring != ring:
+            raise linalg.LinAlgError("mixed rings in sum")
+        live = True
+        for i, prow in enumerate(prod.entries, i0):
+            arow = acc[i]
+            for j, x in enumerate(prow, j0):
                 if not x.is_zero():
                     y = x if coeff is None else x * coeff
-                    arow[j] = y if arow[j].is_zero() else arow[j] + y
+                    z = arow[j]
+                    arow[j] = y if z.is_zero() else z + y
+    return live
+
+
+def _sum(ring: GroundRing, rows: int, cols: int, terms) -> Value:
+    """The sum of the (coeff, value) terms, coeff None standing for 1, each
+    rows x cols: zero (no matrix) when every term is zero, else the matrix
+    ``_accumulate`` fills in from a zero buffer."""
+    z = ring.zero()
+    acc = [[z] * cols for _ in range(rows)]
+    if not _accumulate(ring, acc, 0, 0, rows, cols, terms):
+        return rows, cols, None
     return rows, cols, Mat(ring, rows, cols, tuple(map(tuple, acc)))
 
 
@@ -374,24 +392,33 @@ def _same(x: Value, y: Value) -> bool:
     return (p if q is None else q).is_zero()
 
 
-def _commutation_rhs(M: XObject, mu: Weight, a: int, b: int, m: int, n: int,
-                     src: Weight, tgt: Weight, memo: dict) -> Value:
-    """The normal-ordered side of E_{a,m} F_{b,n} on the source
-    src = mu + n*alpha_b, with target tgt = mu + m*alpha_a: the word
-    F_{b,n} E_{a,m} when a != b, else Lusztig's sum over r of
-    [mu_a + m + n choose r]_{d_a} F_{a,n-r} E_{a,m-r}.
+def _lusztig_terms(M: XObject, mu: Weight, a: int, b: int, m: int, n: int,
+                   src: Weight, tgt: Weight, memo: dict, coeffs: dict) -> list:
+    """The (coeff, value) terms of the normal-ordered side of
+    E_{a,m} F_{b,n} on the source src = mu + n*alpha_b, with target
+    tgt = mu + m*alpha_a: the word F_{b,n} E_{a,m} when a != b, else
+    Lusztig's sum over r of [mu_a + m + n choose r]_{d_a} F_{a,n-r} E_{a,m-r}.
 
-    A term with a zero coefficient is not evaluated, and the r = 0
-    coefficient is 1.  ``memo`` holds the sum's words on src, keyed by
-    (a, m - r, n - r), for the caller to share between the identities on src
-    (identity (mu + r*alpha_a, m - r, n - r) reuses the r-th word here).
+    coeff None stands for 1, the r = 0 coefficient.  A term with a zero
+    coefficient is left out and its word not evaluated.  ``memo`` holds the
+    sum's words on src, keyed by (a, m - r, n - r), for the caller to share
+    between the identities on src (identity (mu + r*alpha_a, m - r, n - r)
+    reuses the r-th word here).  ``coeffs`` holds per (a, mu_a + m + n) the
+    coefficients read so far, r = 0 first, for the caller to share between
+    the sums with that top.
     """
     rs = M.rs
     if a != b:
-        return _word(M, src, (("E", a, m, rs.add_root(src, a, m)), ("F", b, n, tgt)))
+        return [(None, _word(M, src, (("E", a, m, rs.add_root(src, a, m)), ("F", b, n, tgt))))]
+    k, top = min(m, n), mu[a] + m + n
+    row = coeffs.get((a, top))
+    if row is None:
+        row = coeffs[(a, top)] = [None]
+    for r in range(len(row), k + 1):
+        row.append(_qb(M.ring, top, r, rs.d[a]))
     terms = []
-    for r in range(min(m, n) + 1):
-        coeff = _qb(M.ring, mu[a] + m + n, r, rs.d[a]) if r else None  # None: 1
+    for r in range(k + 1):
+        coeff = row[r]
         if coeff is not None and coeff.is_zero():
             continue
         key = (a, m - r, n - r)
@@ -400,6 +427,19 @@ def _commutation_rhs(M: XObject, mu: Weight, a: int, b: int, m: int, n: int,
             mid = rs.add_root(src, a, m - r)
             term = memo[key] = _word(M, src, (("E", a, m - r, mid), ("F", a, n - r, tgt)))
         terms.append((coeff, term))
+    return terms
+
+
+def _commutation_rhs(M: XObject, mu: Weight, a: int, b: int, m: int, n: int,
+                     src: Weight, tgt: Weight, memo: dict) -> Value:
+    """The normal-ordered side of E_{a,m} F_{b,n} on src, with target tgt
+    (``_lusztig_terms``, whose words on src ``memo`` shares): the word
+    itself when a != b, else the ``_sum`` of Lusztig's terms.  The word is
+    not checked against the endpoint ranks, as the Mat-level product is
+    not."""
+    terms = _lusztig_terms(M, mu, a, b, m, n, src, tgt, memo, {})
+    if a != b:
+        return terms[0][1]
     return _sum(M.ring, M.rank(tgt), M.rank(src), terms)
 
 
@@ -409,26 +449,32 @@ def hat_matrices(M: XObject, mu: Weight) -> tuple[Mat, Mat, DeltaIndex]:
     The formal space is the direct sum of the upper neighbours (same block
     index as the delta space); the lowering matrix is the tautological
     identity and the raising matrix is assembled from the stored operators
-    above mu via the commutation formula (``_commutation_rhs``), one block
-    per pair of upper neighbours.  The blocks are sums of operator words
-    evaluated by ``_word``, a degree-0 factor skipped and an absent operator
-    never built.  The F.E words go to the object's word memo (``_words``),
-    which extension steps hand on: the product F_{a,n} E_{a,m} on a source
-    src is the r-th term of Lusztig's sum at every weight
-    src - (n + r)*alpha_a, r >= 0, and is evaluated once per build.
+    above mu via the commutation formula, one block per pair of upper
+    neighbours, row block by row block.  The matrix is built in place: one
+    dr x dr buffer of zeros, into which ``_accumulate`` adds every term of
+    every block's sum (``_lusztig_terms``) at the block's offsets, and one
+    ``Mat`` at the end.  The terms are operator words evaluated by
+    ``_word``, a degree-0 factor skipped and an absent operator never
+    built.  The F.E words go to the object's word memo (``_words``), which
+    extension steps hand on: the product F_{a,n} E_{a,m} on a source src is
+    the r-th term of Lusztig's sum at every weight src - (n + r)*alpha_a,
+    r >= 0, and is evaluated once per build.  Each coefficient is read once
+    per step.
     """
+    ring = M.ring
     index = _delta_index(M, mu)
     dr = sum(b.rank for b in index)
     ups = [M.rs.add_root(mu, blk.alpha, blk.n) for blk in index]
     words = M._words
-    rows = []
+    memos = [words.setdefault(src, {}) for src in ups]
+    coeffs: dict = {}
+    z = ring.zero()
+    acc = [[z] * dr for _ in range(dr)]
     for rb, tgt in zip(index, ups):
-        blocks = [_commutation_rhs(M, mu, rb.alpha, cb.alpha, rb.n, cb.n, src, tgt,
-                                   words.setdefault(src, {}))
-                  for cb, src in zip(index, ups)]
-        rows.append(hstack([p if p is not None else Mat.zero(M.ring, r, c) for r, c, p in blocks]))
-    ehat = vstack(rows) if rows else Mat.zero(M.ring, 0, dr)
-    return ehat, Mat.identity(M.ring, dr), index
+        for cb, src, memo in zip(index, ups, memos):
+            _accumulate(ring, acc, rb.offset, cb.offset, rb.rank, cb.rank, _lusztig_terms(
+                M, mu, rb.alpha, cb.alpha, rb.n, cb.n, src, tgt, memo, coeffs))
+    return Mat(ring, dr, dr, tuple(map(tuple, acc))), Mat.identity(ring, dr), index
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +758,9 @@ def _divided_power_failures(M: XObject, unit: bool = False):
                     for kind, src, word, whole in (
                             ("E", mu, (("E", a, n, mid), ("E", a, m, top)), ("E", a, m + n, top)),
                             ("F", top, (("F", a, n, low), ("F", a, m, mu)), ("F", a, m + n, mu))):
-                        rhs = _word(M, src, (whole,))
-                        if not _same(_word(M, src, word), _sum(ring, *rhs[:2], [(coeff, rhs)])):
+                        rows, cols, prod = _word(M, src, (whole,))
+                        rhs = rows, cols, None if prod is None else prod.scale(coeff)
+                        if not _same(_word(M, src, word), rhs):
                             yield kind, mu, a, m, n
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from qtilt import xcat
-from qtilt.linalg import Mat, hstack, vstack
+from qtilt.linalg import LinAlgError, Mat, hstack, vstack
 from qtilt.ring import generic_field, parse_ring
 from qtilt.rootsys import dominance_leq, root_system, weights_below
 from qtilt.xcat import (
@@ -223,7 +223,17 @@ def test_x2_loop_evaluates_exactly_the_reference_instances(M, monkeypatch):
     assert failures == _reference_failures(M)
 
 
-@pytest.mark.parametrize("root, ring, lam", OBJECTS, ids=map(_ids, OBJECTS))
+# Beyond OBJECTS, the hat assembly is compared on every other ring kind: A1
+# (14) over int:5 has only 1x1 blocks, as numeric-ladder builds do; the
+# fields rational and generic; and A2 (2,1) over int:2 has cross-root
+# blocks (a != b) and 2x2 blocks.
+HAT_OBJECTS = OBJECTS + [
+    ("A1", "int:5", (14,)), ("A1", "rational", (6,)), ("A1", "generic", (6,)),
+    ("A2", "int:2", (2, 1)),
+]
+
+
+@pytest.mark.parametrize("root, ring, lam", HAT_OBJECTS, ids=map(_ids, HAT_OBJECTS))
 def test_kernel_matches_reference_on_every_hat_block(root, ring, lam):
     M = _build(root, ring, lam)
     for mu in _weights_and_frontier(M):
@@ -339,3 +349,31 @@ def test_hat_blocks_of_misshapen_objects_match_reference(root, ring, lam):
                     raised += got == "LinAlgError"
     assert raised > 0
 
+
+
+@pytest.mark.parametrize("root, ring, lam, key, grow, want", [
+    # A word with the wrong-shaped E as one of two factors: _word's check.
+    ("A1", "cyc:3", (4,), ((0,), 0, 1), (1, 0), {
+        (-6,): "shape mismatch 1x1 @ 2x2", (-4,): "shape mismatch 1x1 @ 2x2",
+        (-2,): "shape mismatch 2x1 @ 2x2"}),
+    # The wrong-shaped E as a lone factor: the sum's check.
+    ("A1", "cyc:3", (4,), ((-2,), 0, 3), (0, 1), {
+        (-6,): "shape mismatch in sum", (-4,): "shape mismatch in sum"}),
+    ("A2", "int:2", (2, 1), ((-1, 1), 1, 1), (1, 0), {
+        (0, -1): "shape mismatch 4x1 @ 2x4", (1, -3): "shape mismatch 4x1 @ 2x4",
+        (2, -5): "shape mismatch 1x1 @ 2x4"}),
+], ids=["A1-two-factors", "A1-lone-factor", "A2"])
+def test_hat_raises_below_a_wrong_shaped_operator(root, ring, lam, key, grow, want):
+    # The in-place assembly keeps the shape checks of the word and the sum:
+    # the weights that raise and the messages are those recorded with the
+    # per-block assembly (one Mat per block, then hstack and vstack).
+    M = _build(root, ring, lam)
+    op = M.eops[key]
+    bad = replace(M, eops={**M.eops, key: Mat.zero(M.ring, op.rows + grow[0], op.cols + grow[1])})
+    got = {}
+    for mu in _weights_and_frontier(M):
+        try:
+            hat_matrices(bad, mu)
+        except LinAlgError as exc:
+            got[mu] = str(exc)
+    assert got == want

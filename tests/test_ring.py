@@ -226,6 +226,19 @@ def test_parse_ring_refuses_cyc_l_without_computing_sigma_l(monkeypatch):
         assert parse_ring(desc).descriptor() == desc
 
 
+def test_unknown_descriptor_is_quoted_by_a_prefix():
+    # The whole descriptor used to be echoed: a 100 026-byte message for a
+    # 100 000-character descriptor.
+    desc = "cyc:x" + "9" * 99_995
+    with pytest.raises(RingError) as err:
+        parse_ring(desc)
+    msg = str(err.value)
+    assert msg == f"unknown ring descriptor '{desc[:40]}'... (100000 characters)"
+    assert len(msg) < 100
+    with pytest.raises(RingError, match=r"^unknown ring descriptor 'x{40}'$"):
+        parse_ring("x" * 40)
+
+
 def test_number_errors_quote_a_prefix(cyc3, int3):
     digits = "9" * (sys.get_int_max_str_digits() + 1)
     for ring, text in ((cyc3, digits + "*v"), (cyc3, "1/" + digits), (int3, digits)):

@@ -365,6 +365,19 @@ def test_a_label_is_read_in_ascii_digits_and_made_canonical(a1):
         root_system("A\u0661")  # ARABIC-INDIC DIGIT ONE, a Unicode digit
 
 
+def test_a_bad_label_is_quoted_by_a_prefix():
+    # The whole spec used to be echoed: a 100 026-byte message for a
+    # 100 000-character label.
+    spec = "Z" + "9" * 99_999
+    with pytest.raises(RootSystemError) as err:
+        root_system(spec)
+    msg = str(err.value)
+    assert msg == f"bad root system label '{spec[:40]}'... (100000 characters)"
+    assert len(msg) < 100
+    with pytest.raises(RootSystemError, match=r"^bad root system label 'Z{40}'$"):
+        root_system("Z" * 40)
+
+
 def test_a_rank_of_too_many_digits_is_refused():
     # A rank past the interpreter's int-string limit used to raise a plain
     # ValueError from int().

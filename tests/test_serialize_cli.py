@@ -474,6 +474,40 @@ def test_check_quotes_a_prefix_of_a_huge_number(runner, tmp_path, golden):
     assert isinstance(res.exception, SystemExit)
 
 
+def _error_line(res):
+    (line,) = [ln for ln in res.output.splitlines() if ln.startswith("error:")]
+    return line
+
+
+def test_cli_quotes_a_prefix_of_a_long_root_or_ring(runner, tmp_path):
+    # A 20 000-character --root or --ring used to be printed whole.
+    long = "Z" + "9" * 19_999
+    for args, prefix in (
+            (["weyl-char", "--root", long, "--weight", "1"], "error: bad root system label 'Z999"),
+            (["build", "--kind", "smax", "--root", "A1", "--ring", long, "--weight", "2",
+              "--out", str(tmp_path / "o.json")], "error: unknown ring descriptor 'Z999")):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        line = _error_line(res)
+        assert line.startswith(prefix) and line.endswith("... (20000 characters)"), line
+        assert len(line) < 120
+        assert isinstance(res.exception, SystemExit)
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_check_quotes_a_prefix_of_a_long_ring_field(runner, tmp_path):
+    obj = _golden_dict(_CYC3_OBJ)
+    obj["ring"] = "cyc:" + "x" * 19_996
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["check", str(bad)])
+    assert res.exit_code == 2, res.output
+    line = _error_line(res)
+    assert line.startswith("error: unknown ring descriptor 'cyc:xxx"), line
+    assert len(line) < 120
+    assert isinstance(res.exception, SystemExit)
+
+
 _DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 
