@@ -1,9 +1,9 @@
 """Exact arithmetic: quantum integers and the supported ground rings.
 
-Everything in this module is integer or rational arithmetic; there is no
-floating point anywhere.  Elements of a ground ring are kept in a canonical
-``uniformizer-power times unit`` form, so equality of elements is structural
-equality of the canonical data.
+Everything in this module is integer arithmetic; rationals only enter, by
+``from_fraction`` and parsed text, and there is no floating point anywhere.
+Elements of a ground ring are kept in a canonical ``uniformizer-power times
+unit`` form, so equality of elements is structural equality of the data.
 
 Supported ground rings:
 
@@ -19,12 +19,12 @@ Supported ground rings:
 All four are generic: each is a subring of Q(v) or of Q, and a quantum
 integer [n]_d with n != 0 is nonzero in Q(v) and maps to n at q = 1.
 
-Every kind stores its elements alike, as pi**k * v**s * n / d with n and d
-integer polynomials; over ``int:p`` and ``rational`` n and d are constants.
-Laurent polynomials have one layout, the dense ``(shift, coefficients)``
-form of :mod:`qtilt.zpoly`, and their arithmetic is zpoly's.  A canonical
-unit is v**s * n / d with n, d in Z[v] coprime in Q[v], so one rational
-content per element replaces Fraction coefficients.  Gcds are GCDHEU with a
+Every kind stores its elements alike, as pi**k * v**s * n / d in plain
+fields, with n and d dense integer coefficient tuples (the layout of
+:mod:`qtilt.zpoly`, whose arithmetic they use); over ``int:p`` and
+``rational`` n and d are constants.  A canonical unit is v**s * n / d with
+n, d in Z[v] coprime in Q[v]: one rational content per element, and no
+coefficient anywhere is a Fraction.  Gcds are GCDHEU with a
 primitive pseudo-remainder-sequence fallback, and the uniformizer pi (the
 monic sigma_l or the prime p) is divided out by exact integer division.
 Because pi is prime (sigma_l is irreducible over Q, p is prime in Z), the
@@ -67,46 +67,35 @@ class RingError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials over Q
+# Laurent polynomials over Z
 # ---------------------------------------------------------------------------
-
-
-def _coeff(c):
-    """Normalize a coefficient: integral values are stored as plain ints.
-
-    Fraction(n) == n and hash(Fraction(n)) == hash(n), so the normalization
-    is invisible to equality while keeping the hot polynomial loops on
-    integer arithmetic.
-    """
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class LaurentPoly:
-    """Laurent polynomial in v with rational coefficients.
+    """Laurent polynomial in v with integer coefficients.
 
     Stored in the dense layout of :mod:`qtilt.zpoly`: the value is
-    v**shift * (c[0] + c[1]*v + ...) with c[0] and c[-1] nonzero, and zero
-    is shift 0 with c == ().  So structural equality is semantic equality,
-    and the arithmetic hands ``c`` to zpoly as it is.  ``from_dict`` stores
-    integral coefficients as ints; sums and products of Fractions may keep
-    an integral Fraction, which is equal and hash-equal to the int.
+    v**shift * (c[0] + c[1]*v + ...) with c[0] and c[-1] nonzero ints, and
+    zero is shift 0 with c == ().  So structural equality is semantic
+    equality, and the arithmetic hands ``c`` to zpoly as it is.  These are
+    the quantum integers and binomials, the argument of ``embed`` and the
+    parsed parts of element text; a ring element stores its own integer
+    tuples, not LaurentPolys.
 
-    Immutable by contract, not by ``frozen=True``, as RingElem is: a ring
-    operation builds one or two of these, and a frozen dataclass stores
-    each field through ``object.__setattr__``.  Never assign a field.
+    Immutable by contract, not by ``frozen=True``, as RingElem is: a frozen
+    dataclass stores each field through ``object.__setattr__``.  Never
+    assign a field.
     """
 
     shift: int = 0
     c: tuple = ()
 
     @staticmethod
-    def from_dict(d: dict[int, Fraction | int]) -> "LaurentPoly":
-        d = {int(e): _coeff(c) for e, c in d.items() if c}
+    def from_dict(d: dict[int, int]) -> "LaurentPoly":
+        if not all(isinstance(c, int) for c in d.values()):
+            raise TypeError("LaurentPoly coefficients must be ints")
+        d = {int(e): c for e, c in d.items() if c}
         if not d:
             return LP_ZERO
         lo = min(d)
@@ -116,12 +105,9 @@ class LaurentPoly:
         return LaurentPoly(lo, tuple(out))
 
     @property
-    def coeffs(self) -> tuple[tuple[int, Fraction | int], ...]:
+    def coeffs(self) -> tuple[tuple[int, int], ...]:
         """The nonzero terms as sorted (exponent, coefficient) pairs."""
         return tuple([(self.shift + i, c) for i, c in enumerate(self.c) if c])
-
-    def is_zero(self) -> bool:
-        return not self.c
 
     def __bool__(self) -> bool:
         return bool(self.c)
@@ -145,22 +131,24 @@ class LaurentPoly:
             return LP_ZERO
         return LaurentPoly(self.shift + other.shift, tuple(zpoly.mul(self.c, other.c)))
 
-    def eval_one(self) -> Fraction:
+    def eval_one(self) -> int:
         """Image under v -> 1."""
-        return Fraction(sum(self.c))
+        return sum(self.c)
 
     def __str__(self) -> str:
-        return format_laurent(self)
+        return _poly_str(self.shift, self.c)
 
     __repr__ = __str__
 
 
-def lp(d: dict[int, Fraction | int]) -> LaurentPoly:
+def lp(d: dict[int, int]) -> LaurentPoly:
     return LaurentPoly.from_dict(d)
 
 
+# The coefficient tuple of 1: the den of every element whose den is 1.
+_ONE = (1,)
 LP_ZERO = LaurentPoly()
-LP_ONE = LaurentPoly(0, (1,))
+LP_ONE = LaurentPoly(0, _ONE)
 
 
 def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -346,7 +334,7 @@ class GroundRing:
     # dataclass (and its Enum field) in Python on every call.
     @cached_property
     def _zero(self) -> "RingElem":
-        return RingElem(self, 0, None, None)
+        return RingElem(self, 0, 0, None, None)
 
     @cached_property
     def _one(self) -> "RingElem":
@@ -368,7 +356,8 @@ class GroundRing:
         return self.from_fraction(n)
 
     def from_fraction(self, f: Fraction | int) -> "RingElem":
-        f = _coeff(f)  # an int or a non-integral Fraction
+        if not isinstance(f, (int, Fraction)):
+            raise TypeError(f"expected an int or a Fraction, got {type(f).__name__}")
         if not f:
             return self.zero()
         n, d, k, p = f.numerator, f.denominator, 0, self._p
@@ -383,7 +372,7 @@ class GroundRing:
     def uniformizer(self) -> "RingElem":
         if self.is_field:
             raise RingError(f"{self.descriptor()} has no uniformizer")
-        return RingElem(self, 1, LP_ONE, LP_ONE)
+        return RingElem(self, 1, 0, _ONE, _ONE)
 
     @cached_property
     def _pi(self) -> tuple[int, ...]:
@@ -468,18 +457,17 @@ def integer_local(p: int) -> GroundRing:
 class RingElem:
     """Element of a ground ring in canonical form.
 
-    Nonzero elements are pi**k * u with k >= 0 (k = 0 over a field) and u a
-    unit, for every kind.  The unit is a reduced fraction num/den of
-    integer-coefficient Laurent polynomials: den has minimal exponent 0 and a
-    positive lowest coefficient, the contents of num and den are coprime, and
-    the uniformizer pi (sigma_l or p) divides neither.  Over ``int:p`` and
-    ``rational`` num and den are constants, v**0 * a and b, and den is
-    ``LP_ONE`` when b = 1.
+    Nonzero elements are pi**k * v**shift * num/den with k >= 0 (k = 0 over
+    a field), for every kind.  num and den are the dense integer coefficient
+    tuples of polynomials in v coprime in Q[v]: den has a positive lowest
+    coefficient, the contents of num and den are coprime, and the
+    uniformizer pi (sigma_l or p) divides neither.  den is the shared (1,)
+    when it is 1.  Over ``int:p`` and ``rational`` num and den are (a,) and
+    (b,), and shift is 0.
 
-    Arithmetic works on the integer coefficient lists of num and den and
-    keeps each result canonical with the least work the valuation allows: a
-    product of two elements with den 1 is one polynomial product; other
-    products and quotients cancel gcd(n1, d2) and gcd(n2, d1) (resp.
+    Arithmetic keeps each result canonical with the least work the valuation
+    allows: a product of two elements with den 1 is one polynomial product;
+    other products and quotients cancel gcd(n1, d2) and gcd(n2, d1) (resp.
     gcd(n1, n2) and gcd(d1, d2)) as ``fractions.Fraction`` does, and never
     look for pi, which is prime and divides no canonical num or den; a sum
     with k1 != k2 has valuation min(k1, k2) exactly, so only a sum with
@@ -503,8 +491,9 @@ class RingElem:
 
     ring: GroundRing
     k: int
-    num: LaurentPoly | None
-    den: LaurentPoly | None
+    shift: int
+    num: tuple[int, ...] | None
+    den: tuple[int, ...] | None
 
     # -- predicates ------------------------------------------------------
 
@@ -531,7 +520,7 @@ class RingElem:
     def __neg__(self) -> "RingElem":
         if self.is_zero():
             return self
-        return RingElem(self.ring, self.k, -self.num, self.den)
+        return RingElem(self.ring, self.k, self.shift, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
@@ -609,8 +598,7 @@ def _finish(ring: GroundRing, k: int, shift: int, n, d) -> RingElem:
         d = [x // g for x in d]
     # tuple() of an exact-size list: a tuple built from a generator keeps
     # its over-allocated block, which shows in the peak memory of builds.
-    den = LP_ONE if len(d) == 1 and d[0] == 1 else LaurentPoly(0, tuple(d))
-    return RingElem(ring, k, LaurentPoly(shift, tuple(n)), den)
+    return RingElem(ring, k, shift, tuple(n), _ONE if len(d) == 1 and d[0] == 1 else tuple(d))
 
 
 def _pi_divides(ring: GroundRing, a) -> bool:
@@ -632,34 +620,28 @@ def _strip_pi(ring: GroundRing, n, k: int):
     return n, k
 
 
-def _make_laurent(ring: GroundRing, num: LaurentPoly, den: LaurentPoly) -> RingElem:
-    """Canonicalize num/den in a Laurent kind, coefficients int or Fraction:
-    clear denominators (every Fraction, so zpoly computes on ints only),
-    cancel the gcd, move every factor sigma_l of the numerator into k and
-    refuse a zero denominator or one that sigma_l divides."""
-    if den.is_zero():
+def _make_laurent(ring: GroundRing, shift: int, n, d) -> RingElem:
+    """Canonicalize v**shift * n/d in a Laurent kind, for integer
+    polynomials n and d with d(0) != 0: cancel the gcd, move every factor
+    sigma_l of the numerator into k and refuse a zero denominator or one
+    that sigma_l divides."""
+    if not d:
         raise RingError("zero denominator")
-    if num.is_zero():
+    if not n:
         return ring.zero()
-    n, d = num.c, den.c
-    dens = [c.denominator for c in n + d if isinstance(c, Fraction)]
-    if dens:
-        m = math.lcm(*dens)
-        n = [c.numerator * (m // c.denominator) for c in map(Fraction, n)]
-        d = [c.numerator * (m // c.denominator) for c in map(Fraction, d)]
     n, d = zpoly.cancel(n, d)
     k = 0
     if ring.is_dvr:
         n, k = _strip_pi(ring, n, 0)
         if _pi_divides(ring, d):
             raise RingError(f"denominator divisible by the uniformizer; not in {ring}")
-    return _finish(ring, k, num.shift - den.shift, n, d)
+    return _finish(ring, k, shift, n, d)
 
 
 def _const(ring: GroundRing, k: int, shift: int, n: int, d: int) -> RingElem:
     """The element pi**k * v**shift * n/d for coprime integers n != 0 and
     d > 0, neither divisible by pi: already canonical, so built directly."""
-    return RingElem(ring, k, LaurentPoly(shift, (n,)), LP_ONE if d == 1 else LaurentPoly(0, (d,)))
+    return RingElem(ring, k, shift, (n,), _ONE if d == 1 else (d,))
 
 
 def _laurent_add(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
@@ -677,9 +659,8 @@ def _laurent_add(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
     integer over ``int:p`` only; a constant is prime to sigma_l, so only p
     can be stripped, by ``while t % p == 0``.
     """
-    s1, n1 = x.num.shift, x.num.c
-    s2, n2 = y.num.shift, y.num.c
-    d1, d2 = x.den.c, y.den.c
+    s1, n1, d1 = x.shift, x.num, x.den
+    s2, n2, d2 = y.shift, y.num, y.den
     k = min(x.k, y.k)
     if (len(n1) == 1 and len(n2) == 1 and len(d1) == 1 and len(d2) == 1 and s1 == s2
             and (x.k == y.k or ring._p)):
@@ -739,9 +720,8 @@ def _laurent_mul(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
     cross-cancellation by gcd(n1, d2) and gcd(n2, d1) leaves a reduced
     fraction; on constant units it runs on integers.
     """
-    n1, n2 = x.num.c, y.num.c
-    d1, d2 = x.den.c, y.den.c
-    shift = x.num.shift + y.num.shift
+    n1, n2, d1, d2 = x.num, y.num, x.den, y.den
+    shift = x.shift + y.shift
     if len(n1) == 1 and len(n2) == 1 and len(d1) == 1 and len(d2) == 1:
         a1, a2, b1, b2 = n1[0], n2[0], d1[0], d2[0]
         g = math.gcd(a1, b2)
@@ -752,7 +732,7 @@ def _laurent_mul(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
             a2, b1 = a2 // g, b1 // g
         return _const(ring, x.k + y.k, shift, a1 * a2, b1 * b2)
     if d1 == d2 == (1,):
-        return RingElem(ring, x.k + y.k, LaurentPoly(shift, tuple(zpoly.mul(n1, n2))), LP_ONE)
+        return RingElem(ring, x.k + y.k, shift, tuple(zpoly.mul(n1, n2)), _ONE)
     n1, d2 = zpoly.cancel(n1, d2)
     n2, d1 = zpoly.cancel(n2, d1)
     return _finish(ring, x.k + y.k, shift, zpoly.mul(n1, n2), zpoly.mul(d1, d2))
@@ -763,9 +743,8 @@ def _laurent_div(ring: GroundRing, x: RingElem, y: RingElem) -> RingElem:
     Henrici's cancellation by gcd(n1, n2) and gcd(d1, d2); as for products,
     no factor pi can appear.  On constant units it runs on integers, and a
     negative divisor moves its sign to the numerator."""
-    n1, n2 = x.num.c, y.num.c
-    d1, d2 = x.den.c, y.den.c
-    shift = x.num.shift - y.num.shift
+    n1, n2, d1, d2 = x.num, y.num, x.den, y.den
+    shift = x.shift - y.shift
     if len(n1) == 1 and len(n2) == 1 and len(d1) == 1 and len(d2) == 1:
         a1, a2, b1, b2 = n1[0], n2[0], d1[0], d2[0]
         g = math.gcd(a1, a2)
@@ -789,8 +768,8 @@ def embed(p: LaurentPoly, ring: GroundRing) -> RingElem:
     the DVR kinds the uniformizer power is extracted into canonical form.
     """
     if ring.is_laurent:
-        return _make_laurent(ring, p, LP_ONE)
-    return ring.from_fraction(p.eval_one())
+        return _make_laurent(ring, p.shift, p.c, _ONE)
+    return ring.from_int(p.eval_one())
 
 
 def valuation(x: RingElem) -> int | float:
@@ -807,9 +786,9 @@ def to_fraction_field(x: RingElem) -> RingElem:
         return fk.zero()
     # pi**k is prime to the denominator: the fraction stays reduced.
     if ring._p:
-        return _const(fk, 0, x.num.shift, x.num.c[0] * ring._p ** x.k, x.den.c[0])
-    n = zpoly.mul(x.num.c, _pi_pow(ring._pi, x.k))
-    return _finish(fk, 0, x.num.shift, n, x.den.c)
+        return _const(fk, 0, x.shift, x.num[0] * ring._p ** x.k, x.den[0])
+    n = zpoly.mul(x.num, _pi_pow(ring._pi, x.k))
+    return _finish(fk, 0, x.shift, n, x.den)
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +802,7 @@ def to_fraction_field(x: RingElem) -> RingElem:
 # and print then parse gives the element back.
 
 
-def _term_str(e: int, c: Fraction) -> str:
+def _term_str(e: int, c: int) -> str:
     if e == 0:
         return str(c)
     vp = "v" if e == 1 else f"v^{e}"
@@ -834,22 +813,23 @@ def _term_str(e: int, c: Fraction) -> str:
     return f"{c}*{vp}"
 
 
-def format_laurent(p: LaurentPoly) -> str:
-    if len(p.c) < 2:
-        return _term_str(p.shift, p.c[0]) if p.c else "0"
+def _poly_str(shift: int, c) -> str:
+    """The text of v**shift * (c[0] + c[1]*v + ...) for a dense c."""
+    if len(c) < 2:
+        return _term_str(shift, c[0]) if c else "0"
     # Descending powers; a negative term's "-" takes the place of its "+".
-    s = "+".join([_term_str(e, p.c[e]) for e in range(len(p.c) - 1, -1, -1) if p.c[e]])
+    s = "+".join([_term_str(e, c[e]) for e in range(len(c) - 1, -1, -1) if c[e]])
     s = s.replace("+-", "-")
-    return f"{_term_str(p.shift, 1)}*({s})" if p.shift else s
+    return f"{_term_str(shift, 1)}*({s})" if shift else s
 
 
 def _unit_str(x: RingElem) -> str:
-    ns = format_laurent(x.num)
-    if x.den.c == (1,):
+    ns = _poly_str(x.shift, x.num)
+    if x.den == _ONE:
         return ns
     if x.ring.is_laurent:
-        return f"({ns})/({format_laurent(x.den)})"
-    return f"{ns}/{x.den.c[0]}"
+        return f"({ns})/({_poly_str(0, x.den)})"
+    return f"{ns}/{x.den[0]}"
 
 
 _COMPOUND_RE = re.compile(r"[+*/]")
@@ -914,7 +894,10 @@ def _number(s: str) -> int | Fraction:
         raise RingError(f"bad number {shown}") from None
 
 
-def parse_laurent(s: str) -> LaurentPoly:
+def parse_laurent(s: str) -> tuple[LaurentPoly, int]:
+    """(p, m) with p/m the Laurent polynomial of text s: m = 1 unless a
+    coefficient is a fraction, and then the lcm of the denominators, which
+    p's integer coefficients are cleared by."""
     m = _LAURENT_RE.fullmatch(s.strip())
     if not m:
         raise RingError(f"cannot parse {s[:40]!r}")
@@ -930,16 +913,24 @@ def parse_laurent(s: str) -> LaurentPoly:
     exps = [e for e, c in out.items() if c]
     if exps and max(exps) - min(exps) > _MAX_PARSED_SPAN:
         raise RingError(f"degree span of {s[:40]!r} exceeds {_MAX_PARSED_SPAN}")
-    return LaurentPoly.from_dict(out)
+    dens = [c.denominator for c in out.values() if type(c) is Fraction]
+    if not dens:
+        return LaurentPoly.from_dict(out), 1
+    den = math.lcm(*dens)
+    return LaurentPoly.from_dict({e: c.numerator * (den // c.denominator)
+                                  for e, c in out.items()}), den
 
 
 def _parse_unit(s: str, ring: GroundRing) -> RingElem:
     s = s.strip()
     if ring.is_laurent:
-        m = _RATIO_RE.fullmatch(s)
-        if m:
-            return _make_laurent(ring, parse_laurent(m[1]), parse_laurent(m[2]))
-        return _make_laurent(ring, parse_laurent(s), LP_ONE)
+        r = _RATIO_RE.fullmatch(s)
+        if r is None:
+            p, m = parse_laurent(s)
+            return _make_laurent(ring, p.shift, p.c, (m,))
+        (p, m), (q, mq) = parse_laurent(r[1]), parse_laurent(r[2])
+        # (p/m) / (q/mq) is (mq p) / (m q).
+        return _make_laurent(ring, p.shift - q.shift, zpoly.mul(p.c, (mq,)), zpoly.mul(q.c, (m,)))
     if not _NUMBER_RE.fullmatch(s):
         raise RingError(f"bad number {s[:40]!r}")
     return ring.from_fraction(_number(s))
@@ -972,4 +963,4 @@ def parse_elem(s: str, ring: GroundRing) -> RingElem:
     # pi**k * (pi**j * u) is canonical as pi**(j + k) * u.
     if unit.is_zero():
         return unit
-    return RingElem(ring, unit.k + k, unit.num, unit.den)
+    return RingElem(ring, unit.k + k, unit.shift, unit.num, unit.den)

@@ -431,13 +431,13 @@ def _lusztig_terms(M: XObject, mu: Weight, a: int, b: int, m: int, n: int,
 
 
 def _commutation_rhs(M: XObject, mu: Weight, a: int, b: int, m: int, n: int,
-                     src: Weight, tgt: Weight, memo: dict) -> Value:
+                     src: Weight, tgt: Weight, memo: dict, coeffs: dict) -> Value:
     """The normal-ordered side of E_{a,m} F_{b,n} on src, with target tgt
-    (``_lusztig_terms``, whose words on src ``memo`` shares): the word
-    itself when a != b, else the ``_sum`` of Lusztig's terms.  The word is
-    not checked against the endpoint ranks, as the Mat-level product is
-    not."""
-    terms = _lusztig_terms(M, mu, a, b, m, n, src, tgt, memo, {})
+    (``_lusztig_terms``, whose words on src ``memo`` shares and whose
+    coefficients ``coeffs`` shares): the word itself when a != b, else the
+    ``_sum`` of Lusztig's terms.  The word is not checked against the
+    endpoint ranks, as the Mat-level product is not."""
+    terms = _lusztig_terms(M, mu, a, b, m, n, src, tgt, memo, coeffs)
     if a != b:
         return terms[0][1]
     return _sum(M.ring, M.rank(tgt), M.rank(src), terms)
@@ -630,8 +630,9 @@ def verify_frontier(M: XObject) -> None:
             if nu not in M.region and dominance_leq(rs, nu, M.top):
                 cands.add(nu)
     for nu in sorted(cands):
+        # The fraction-field rank of ehat is 0 exactly when every entry is.
         ehat, _, _ = hat_matrices(M, nu)
-        if linalg.rank(ehat) != 0:
+        if not ehat.is_zero():
             raise XCatError(f"nonzero weight space one level below the region, at {nu}")
 
 
@@ -705,7 +706,9 @@ def _x2_failures(M: XObject, unit: bool = False):
     normal-ordered side, both evaluated by ``_word``.  The loop runs over
     sources, and the F.E words of the normal-ordered side are memoized for
     the current source only: a word shared by the identities
-    (mu + r*alpha, m - r, n - r) is evaluated once.
+    (mu + r*alpha, m - r, n - r) is evaluated once.  The coefficients of
+    Lusztig's sums are read once per source, as ``hat_matrices`` reads them
+    once per step.
     """
     rs = M.rs
     bound = 2 if unit else 2 * M.max_op_index() + 2
@@ -722,7 +725,7 @@ def _x2_failures(M: XObject, unit: bool = False):
 
     for src in M.spaces:
         # Every product on src is keyed by src, so the memo is cleared here.
-        memo: dict = {}
+        memo, coeffs = {}, {}
         for b in range(rs.rank):
             for n in range(1, bound):
                 mu = rs.add_root(src, b, -n)
@@ -734,7 +737,8 @@ def _x2_failures(M: XObject, unit: bool = False):
                             break
                         tgt = rs.add_root(mu, a, m)
                         lhs = _word(M, src, (("F", b, n, mu), ("E", a, m, tgt)))
-                        if not _same(lhs, _commutation_rhs(M, mu, a, b, m, n, src, tgt, memo)):
+                        rhs = _commutation_rhs(M, mu, a, b, m, n, src, tgt, memo, coeffs)
+                        if not _same(lhs, rhs):
                             yield mu, a, b, m, n, src
 
 

@@ -328,7 +328,7 @@ def test_criterion_10_integer_lattice_oracle():
                     if x.is_zero():
                         vals.append(Fraction(0))
                     else:
-                        vals.append(Fraction(x.num.c[0], x.den.c[0]) * p**x.k)
+                        vals.append(Fraction(x.num[0], x.den[0]) * p**x.k)
             for fr in vals:
                 scale = sympy.ilcm(scale, fr.denominator)
             ints = [int(fr * scale) for fr in vals]

@@ -171,11 +171,11 @@ def _ids(obj):
 @pytest.mark.parametrize("root, ring, lam", OBJECTS, ids=map(_ids, OBJECTS))
 def test_kernel_matches_reference_on_every_x2_instance(root, ring, lam):
     M = _build(root, ring, lam)
-    memo, last_src, count = {}, None, 0
+    memo, coeffs, last_src, count = {}, {}, None, 0
     for inst in _reference_instances(M):
         if inst[5] != last_src:
-            memo, last_src = {}, inst[5]
-        rows, cols, prod = _commutation_rhs(M, *inst, memo)
+            memo, coeffs, last_src = {}, {}, inst[5]
+        rows, cols, prod = _commutation_rhs(M, *inst, memo, coeffs)
         got = prod if prod is not None else Mat.zero(M.ring, rows, cols)
         assert got == _reference_rhs(M, *inst), inst
         count += 1
@@ -212,9 +212,9 @@ def test_x2_loop_evaluates_exactly_the_reference_instances(M, monkeypatch):
     # lists, and it evaluates all of them.
     calls = []
 
-    def recording(M, mu, a, b, m, n, src, tgt, memo):
+    def recording(M, mu, a, b, m, n, src, tgt, memo, coeffs):
         calls.append((mu, a, b, m, n, src, tgt))
-        return _commutation_rhs(M, mu, a, b, m, n, src, tgt, memo)
+        return _commutation_rhs(M, mu, a, b, m, n, src, tgt, memo, coeffs)
 
     monkeypatch.setattr(xcat, "_commutation_rhs", recording)
     failures = list(_x2_failures(M))

@@ -55,7 +55,7 @@ def _reference_x2(M):
 
     out = []
     for src in M.spaces:
-        memo = {}
+        memo, coeffs = {}, {}
         for b in range(rs.rank):
             for n in range(1, bound):
                 mu = rs.add_root(src, b, -n)
@@ -67,7 +67,8 @@ def _reference_x2(M):
                             break
                         tgt = rs.add_root(mu, a, m)
                         lhs = _word(M, src, (("F", b, n, mu), ("E", a, m, tgt)))
-                        if not _same(lhs, _commutation_rhs(M, mu, a, b, m, n, src, tgt, memo)):
+                        rhs = _commutation_rhs(M, mu, a, b, m, n, src, tgt, memo, coeffs)
+                        if not _same(lhs, rhs):
                             out.append((mu, a, b, m, n, src))
     return out
 

@@ -343,6 +343,22 @@ def test_verify_frontier_flag(a1, a2, cyc3):
         verify_frontier(direct_sum(build_smin(a1, cyc3, (2,)), build_smin(a1, cyc3, (0,))))
 
 
+def test_verify_frontier_takes_no_snf(a2, cyc3, monkeypatch):
+    # Each candidate's raising matrix is zero or not; its rank is never
+    # computed.  A rank per candidate took one SNF each.
+    import qtilt.linalg as linalg_mod
+    import qtilt.xcat as xcat_mod
+
+    M = build_smax(a2, cyc3, (2, 1))
+    snfs, hats = [], []
+    snf, hat = linalg_mod.smith_normal_form, xcat_mod.hat_matrices
+    monkeypatch.setattr(linalg_mod, "smith_normal_form",
+                        lambda *a, **kw: snfs.append(1) or snf(*a, **kw))
+    monkeypatch.setattr(xcat_mod, "hat_matrices", lambda M, nu: hats.append(nu) or hat(M, nu))
+    verify_frontier(M)
+    assert hats and snfs == []
+
+
 def test_build_determinism(a2, cyc3):
     a = build_smax(a2, cyc3, (1, 1))
     b = build_smax(a2, cyc3, (1, 1))
