@@ -30,17 +30,14 @@ from .ring import (
     integer_local,
     parse_ring,
     qbinom,
-    qfact,
     qint,
     rational_field,
-    valuation,
 )
 from .rootsys import (
     RootSystem,
     RootSystemError,
     Weight,
     dominance_leq,
-    pairing,
     root_system,
     weights_below,
     weyl_character,

@@ -21,7 +21,7 @@ import click
 
 from . import forms, serialize, xcat
 from .linalg import Mat
-from .ring import RingError, parse_ring
+from .ring import RingError, _quoted, parse_ring
 from .rootsys import RootSystemError, Weight, root_system, weyl_character
 from .xcat import Obstructed, XCatError
 
@@ -47,8 +47,8 @@ def _exits(command):
 def _parse_weight(s: str) -> Weight:
     try:
         return tuple(int(c.strip()) for c in s.split(","))
-    except ValueError as exc:
-        raise click.UsageError(f"bad weight {s!r}: {exc}")
+    except ValueError:
+        raise click.UsageError(f"bad weight {_quoted(s)}: expected comma-separated integers")
 
 
 def _write(*outputs: tuple[str, str], inputs: tuple[str, ...] = ()) -> None:

@@ -45,9 +45,9 @@ class LinAlgError(ValueError):
 class Mat:
     """Dense matrix of ring elements sharing one ground ring.
 
-    ``from_rows`` and ``from_cols`` check the ring of every entry, for input
-    from outside; the arithmetic and the stacking build their results
-    directly and check only that their input matrices share one ring.
+    ``from_rows`` checks the ring of every entry, for input from outside;
+    the arithmetic and the stacking build their results directly and check
+    only that their input matrices share one ring.
 
     Immutable by contract, not by ``frozen=True``, as ``ring.RingElem`` is:
     every product builds a matrix, and a frozen dataclass stores each field
@@ -87,18 +87,6 @@ class Mat:
         return Mat(ring, n, n, tuple(
             tuple(o if i == j else z for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def from_cols(ring: GroundRing, cols: Sequence[Sequence[RingElem]],
-                  rows: int | None = None) -> "Mat":
-        cs = [list(c) for c in cols]
-        if cs:
-            rows = len(cs[0])
-        elif rows is None:
-            rows = 0
-        return Mat.from_rows(
-            ring, [[cs[j][i] for j in range(len(cs))] for i in range(rows)],
-            cols=len(cs))
-
     def __getitem__(self, ij: tuple[int, int]) -> RingElem:
         return self.entries[ij[0]][ij[1]]
 
@@ -112,13 +100,10 @@ class Mat:
     def take_rows(self, idx: Sequence[int]) -> "Mat":
         return Mat(self.ring, len(idx), self.cols, tuple(self.entries[i] for i in idx))
 
-    def transpose(self) -> "Mat":
-        return Mat(self.ring, self.cols, self.rows,
-                   tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
-
     @property
     def T(self) -> "Mat":
-        return self.transpose()
+        return Mat(self.ring, self.cols, self.rows,
+                   tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -146,13 +131,6 @@ class Mat:
         return Mat(self.ring, self.rows, self.cols, tuple(
             tuple([a + b for a, b in zip(r1, r2)])
             for r1, r2 in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.ring, self.rows, self.cols,
-                   tuple(tuple([-a for a in r]) for r in self.entries))
 
     def scale(self, c: RingElem) -> "Mat":
         return Mat(self.ring, self.rows, self.cols,

@@ -104,11 +104,6 @@ class LaurentPoly:
             out[e - lo] = c
         return LaurentPoly(lo, tuple(out))
 
-    @property
-    def coeffs(self) -> tuple[tuple[int, int], ...]:
-        """The nonzero terms as sorted (exponent, coefficient) pairs."""
-        return tuple([(self.shift + i, c) for i, c in enumerate(self.c) if c])
-
     def __bool__(self) -> bool:
         return bool(self.c)
 
@@ -165,7 +160,7 @@ def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Quantum integers, factorials and binomials
+# Quantum integers and binomials
 # ---------------------------------------------------------------------------
 
 
@@ -179,16 +174,6 @@ def qint(n: int, d: int = 1) -> LaurentPoly:
     if n < 0:
         return -qint(-n, d)
     return LaurentPoly.from_dict({d * (n - 1 - 2 * i): 1 for i in range(n)})
-
-
-@lru_cache(maxsize=None)
-def qfact(n: int, d: int = 1) -> LaurentPoly:
-    """The quantum factorial [n]_d! for n >= 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return LP_ONE
-    return qfact(n - 1, d) * qint(n, d)
 
 
 @lru_cache(maxsize=None)
@@ -403,8 +388,7 @@ def parse_ring(descriptor: str) -> GroundRing:
         return rational_field()
     m = _DESCRIPTOR_RE.fullmatch(descriptor)
     if not m:
-        shown = _quoted(descriptor, f"{len(descriptor)} characters")
-        raise RingError(f"unknown ring descriptor {shown}")
+        raise RingError(f"unknown ring descriptor {_quoted(descriptor)}")
     return (cyclotomic_local if m[1] == "cyc" else integer_local)(_number(m[2]))
 
 
@@ -767,13 +751,11 @@ def embed(p: LaurentPoly, ring: GroundRing) -> RingElem:
     For ``int:p`` and ``rational`` the polynomial is evaluated at v = 1; for
     the DVR kinds the uniformizer power is extracted into canonical form.
     """
+    if not isinstance(p, LaurentPoly):
+        raise TypeError(f"embed takes a LaurentPoly, not {type(p).__name__}")
     if ring.is_laurent:
         return _make_laurent(ring, p.shift, p.c, _ONE)
     return ring.from_int(p.eval_one())
-
-
-def valuation(x: RingElem) -> int | float:
-    return x.valuation()
 
 
 def to_fraction_field(x: RingElem) -> RingElem:
@@ -876,10 +858,14 @@ _NUMBER_RE = re.compile(r"-?\d+(?:/\d+)?")
 _POWER_RE = re.compile(r"(s|\d+)\^(\d+) \* (.*)")
 
 
-def _quoted(s: str, size: str) -> str:
-    """s quoted for an error message: whole when it has at most 40
-    characters, else its first 40 and then size."""
-    return repr(s) if len(s) <= 40 else f"{s[:40]!r}... ({size})"
+def _quoted(x: object, size: str = "") -> str:
+    """x shown in an error message: a string quoted, any other value as its
+    repr, whole when that has at most 40 characters, else its first 40 and
+    then size, by default its length in characters."""
+    if isinstance(x, str):
+        return repr(x) if len(x) <= 40 else f"{x[:40]!r}... ({size or f'{len(x)} characters'})"
+    text = repr(x)
+    return text if len(text) <= 40 else f"{text[:40]}... ({size or f'{len(text)} characters'})"
 
 
 def _number(s: str) -> int | Fraction:

@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+from .ring import _quoted
 
 Weight = tuple[int, ...]
 
@@ -145,7 +147,9 @@ class RootSystem:
     label: str
     cartan: tuple[tuple[int, ...], ...]
     d: tuple[int, ...]
-    _inv_cartan: tuple[tuple[Fraction, ...], ...] = field(repr=False, compare=False, default=())
+    # (den, den * C^-1): the least positive den with den * C^-1 integral,
+    # and that integer matrix, so den * root_coords(mu) is integral.
+    lattice: tuple[int, tuple[tuple[int, ...], ...]]
 
     @property
     def rank(self) -> int:
@@ -157,10 +161,6 @@ class RootSystem:
     def _simple_roots(self) -> tuple[Weight, ...]:
         return tuple(tuple(row[i] for row in self.cartan) for i in range(self.rank))
 
-    def simple_root(self, i: int) -> Weight:
-        """Fundamental coordinates of alpha_i (the i-th column)."""
-        return self._simple_roots[i]
-
     def add_root(self, mu: Weight, i: int, n: int = 1) -> Weight:
         return tuple(m + n * r for m, r in zip(mu, self._simple_roots[i]))
 
@@ -169,17 +169,8 @@ class RootSystem:
 
     def root_coords(self, mu: Weight) -> tuple[Fraction, ...]:
         """Coefficients c with mu = sum c_j alpha_j."""
-        return tuple(
-            sum(self._inv_cartan[j][r] * mu[r] for r in range(self.rank))
-            for j in range(self.rank)
-        )
-
-    @cached_property
-    def lattice(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(den, den * C^-1): the least positive den with den * C^-1 integral,
-        and that integer matrix, so den * root_coords(mu) is integral."""
-        den = math.lcm(*(c.denominator for row in self._inv_cartan for c in row))
-        return den, tuple(tuple(int(c * den) for c in row) for row in self._inv_cartan)
+        den = self.lattice[0]
+        return tuple(Fraction(x, den) for x in self.lattice_coords(mu))
 
     def lattice_coords(self, mu: Weight) -> tuple[int, ...]:
         """den * root_coords(mu) as integers, with den = self.lattice[0]."""
@@ -218,7 +209,8 @@ class RootSystem:
 
     def check_weight(self, mu: Weight) -> None:
         if len(mu) != self.rank:
-            raise RootSystemError(f"weight {mu} has wrong length for rank {self.rank}")
+            raise RootSystemError(f"weight {_quoted(mu, f'{len(mu)} coordinates')} "
+                                  f"has wrong length for rank {self.rank}")
 
     # -- positive roots ------------------------------------------------------
 
@@ -306,10 +298,7 @@ def root_system(spec: str | list[list[int]]) -> RootSystem:
     if isinstance(spec, str):
         m = re.fullmatch(r"([A-G])([0-9]+)", spec.strip())
         if not m:
-            # Quoted as ring.parse_ring quotes a descriptor: at most 40
-            # characters, then the length.
-            shown = repr(spec) if len(spec) <= 40 else f"{spec[:40]!r}... ({len(spec)} characters)"
-            raise RootSystemError(f"bad root system label {shown}")
+            raise RootSystemError(f"bad root system label {_quoted(spec)}")
         family, digits = m.group(1), m.group(2).lstrip("0") or "0"
         if len(digits) > len(str(MAX_RANK)):
             raise RootSystemError(f"rank of {len(digits)} digits exceeds the "
@@ -325,18 +314,13 @@ def root_system(spec: str | list[list[int]]) -> RootSystem:
     _validate(cartan)
     d = _symmetrizer(cartan)
     inv = _finite_type_inverse(cartan)
+    den = math.lcm(*(c.denominator for row in inv for c in row))
     return RootSystem(
         label=label,
         cartan=tuple(tuple(r) for r in cartan),
         d=d,
-        _inv_cartan=tuple(tuple(r) for r in inv),
+        lattice=(den, tuple(tuple(int(c * den) for c in row) for row in inv)),
     )
-
-
-def pairing(rs: RootSystem, mu: Weight, alpha: int) -> int:
-    """The pairing of mu with the alpha-th simple coroot."""
-    rs.check_weight(mu)
-    return mu[alpha]
 
 
 def dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:

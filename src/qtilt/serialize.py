@@ -14,7 +14,7 @@ import json
 import sys
 
 from .linalg import Mat
-from .ring import GroundRing, RingElem, parse_elem, parse_ring
+from .ring import GroundRing, RingElem, _quoted, parse_elem, parse_ring
 from .rootsys import RootSystem, Weight, root_system
 from .xcat import Report, XObject
 
@@ -33,7 +33,7 @@ def _field(d: object, key: str, kind: type = object):
     if not isinstance(d, dict) or key not in d:
         raise SerializeError(f"missing field {key!r}")
     if not isinstance(d[key], kind):
-        raise SerializeError(f"field {key!r} has the wrong type: {d[key]!r}")
+        raise SerializeError(f"field {key!r} has the wrong type: {_quoted(d[key])}")
     return d[key]
 
 
@@ -41,21 +41,20 @@ def _only(d: dict, keys: set[str], what: str) -> None:
     """Refuse a field of d outside keys, as the schemas do
     (``additionalProperties: false``), so a misspelt field is not ignored."""
     if not d.keys() <= keys:
-        extra = ", ".join(map(repr, sorted(d.keys() - keys)))
-        raise SerializeError(f"unknown field(s) in {what}: {extra}")
+        raise SerializeError(f"unknown field(s) in {what}: {_quoted(sorted(d.keys() - keys))}")
 
 
 def _int(x: object) -> int:
     """A JSON integer: no float, string or bool stands in for one."""
     if type(x) is not int:
-        raise SerializeError(f"expected an integer, got {x!r}")
+        raise SerializeError(f"expected an integer, got {_quoted(x)}")
     return x
 
 
 def _ints(x: object) -> tuple[int, ...]:
     """A JSON array of integers, such as the coordinates of a weight."""
     if not isinstance(x, list):
-        raise SerializeError(f"expected an array of integers, got {x!r}")
+        raise SerializeError(f"expected an array of integers, got {_quoted(x)}")
     return tuple(_int(c) for c in x)
 
 
@@ -133,9 +132,9 @@ def xobject_to_dict(M: XObject) -> dict:
 def _check_header(d: object, fmt: str, what: str) -> None:
     got = d.get("format") if isinstance(d, dict) else None
     if got != fmt:
-        raise SerializeError(f"not {what} (format={got!r})")
+        raise SerializeError(f"not {what} (format={_quoted(got)})")
     if type(d.get("version")) is not int or d["version"] != VERSION:
-        raise SerializeError(f"unsupported version {d.get('version')!r}")
+        raise SerializeError(f"unsupported version {_quoted(d.get('version'))}")
 
 
 def xobject_from_dict(d: dict) -> XObject:
@@ -164,17 +163,17 @@ def xobject_from_dict(d: dict) -> XObject:
         _only(op, {"kind", "mu", "alpha", "n", "entries"}, "an operator record")
         a, n = _int(_field(op, "alpha")), _int(_field(op, "n"))
         if not (0 <= a < rs.rank and n >= 1):
-            raise SerializeError(f"bad operator index alpha={a} n={n}")
+            raise SerializeError(f"bad operator index alpha={_quoted(a)} n={_quoted(n)}")
         up = rs.add_root(mu, a, n)
         if mu not in spaces or up not in spaces:
-            raise SerializeError(f"operator at {mu} touches a zero weight space")
+            raise SerializeError(f"operator at {_quoted(mu)} touches a zero weight space")
         r_mu, r_up = spaces[mu], spaces[up]
         kind = _field(op, "kind", str)
         shape = (r_up, r_mu) if kind == "E" else (r_mu, r_up)
         mat = _mat_from_entries(parsed, shape[0], shape[1], _field(op, "entries"))
         table = {"E": eops, "F": fops}.get(kind)
         if table is None:
-            raise SerializeError(f"bad operator kind {kind!r}")
+            raise SerializeError(f"bad operator kind {_quoted(kind)}")
         if (mu, a, n) in table:
             raise SerializeError(f"duplicate {kind} record at mu={mu} alpha={a} n={n}")
         table[(mu, a, n)] = mat

@@ -101,8 +101,8 @@ class XObject:
     (``_inherit``); ``_generators_hold``, ``_x2`` and ``_local`` are never
     handed on.
     ``replace``, ``restrict``, ``direct_sum`` and the loaders make new
-    objects with empty caches, and a build drops the word memo of the
-    object it returns.  A dict of an object must not be changed in place.
+    objects with empty caches, a build drops the word memo of the object it
+    returns, and ``verify_frontier`` leaves the memo as it found it.  A dict of an object must not be changed in place.
     """
 
     ring: GroundRing
@@ -604,10 +604,10 @@ def _build(
     at lam, then ``M = step(M, mu)`` at every later weight of the region.
     The object returned carries no word memo, so its checks evaluate their
     own words."""
+    M = _seed(rs, ring, lam)  # checks the length of lam before it is printed
     if not rs.is_dominant(lam):
         raise XCatError(f"{lam} is not dominant; full builds are refused")
     order = weights_below(rs, lam, prune_hull=prune, height_bound=height_bound)
-    M = _seed(rs, ring, lam)
     for mu in order[1:]:
         M = step(M, mu)
     M.__dict__.pop("_words", None)
@@ -619,7 +619,8 @@ def verify_frontier(M: XObject) -> None:
     would-be weight spaces are zero, turning the build's region into a
     checked claim for this object.  Raises XCatError otherwise, naming the
     weight but no cause: pruning or a height bound can each leave a nonzero
-    space below the region."""
+    space below the region.  The hat matrices are evaluated with a word memo
+    of their own, and M's word memo is left as it was."""
     if M.top is None:
         raise XCatError("frontier verification needs an object with a top weight")
     rs = M.rs
@@ -629,11 +630,18 @@ def verify_frontier(M: XObject) -> None:
             nu = rs.add_root(mu, i, -1)
             if nu not in M.region and dominance_leq(rs, nu, M.top):
                 cands.add(nu)
-    for nu in sorted(cands):
-        # The fraction-field rank of ehat is 0 exactly when every entry is.
-        ehat, _, _ = hat_matrices(M, nu)
-        if not ehat.is_zero():
-            raise XCatError(f"nonzero weight space one level below the region, at {nu}")
+    cache = M.__dict__
+    words = cache.pop("_words", None)
+    try:
+        for nu in sorted(cands):
+            # The fraction-field rank of ehat is 0 exactly when every entry is.
+            ehat, _, _ = hat_matrices(M, nu)
+            if not ehat.is_zero():
+                raise XCatError(f"nonzero weight space one level below the region, at {nu}")
+    finally:
+        cache.pop("_words", None)
+        if words is not None:
+            cache["_words"] = words
 
 
 def build_smin(

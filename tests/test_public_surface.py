@@ -1,13 +1,16 @@
 """The exported names of the package resolve: a name deleted from a module
-but left in ``xcat.__all__`` or in the package imports fails here by name."""
+but left in ``xcat.__all__`` or in the package imports fails here by name.
+Helpers that no program called stay deleted, and the README's library
+example runs."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
 
 import qtilt
-from qtilt import forms, ring, rootsys, xcat
+from qtilt import forms, linalg, ring, rootsys, xcat
 
 
 def _package_imports() -> list[tuple[str, str]]:
@@ -58,3 +61,36 @@ def test_ring_construction_does_no_element_arithmetic(monkeypatch):
 
     monkeypatch.setattr(ring, "_make_laurent", refuse)
     assert ring.parse_ring("cyc:11").descriptor() == "cyc:11"
+
+
+# Helpers that no program called, each a second name for something kept
+# (in brackets) or with no caller at all.
+_DELETED = [
+    (linalg.Mat, "__sub__"), (linalg.Mat, "__neg__"),
+    (linalg.Mat, "from_cols"),            # [Mat.from_rows]
+    (linalg.Mat, "transpose"),            # [Mat.T]
+    (ring, "valuation"),                  # [RingElem.valuation()]
+    (ring, "qfact"),
+    (ring.LaurentPoly, "coeffs"),         # [LaurentPoly.shift and .c]
+    (rootsys, "pairing"),                 # [mu[a]]
+    (rootsys.RootSystem, "simple_root"),  # [RootSystem.add_root]
+    (rootsys.RootSystem, "_inv_cartan"),  # [RootSystem.lattice]
+    (qtilt, "qfact"), (qtilt, "valuation"), (qtilt, "pairing"),
+]
+
+
+def test_uncalled_helpers_stay_deleted():
+    assert [f"{owner.__name__}.{name}" for owner, name in _DELETED
+            if hasattr(owner, name)] == []
+
+
+def test_root_system_keeps_one_copy_of_the_inverse_cartan_matrix():
+    assert [f.name for f in dataclasses.fields(rootsys.RootSystem)] == [
+        "label", "cartan", "d", "lattice"]
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library surface\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

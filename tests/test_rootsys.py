@@ -1,8 +1,10 @@
 import itertools
+import math
 import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +12,6 @@ from qtilt import rootsys
 from qtilt.rootsys import (
     RootSystemError,
     dominance_leq,
-    pairing,
     root_system,
     weights_below,
     weyl_character,
@@ -53,9 +54,7 @@ def test_invalid_cartan_rejected():
         root_system("Z9")
 
 
-def test_pairing_reads_coordinates(a2, a1):
-    assert pairing(a2, (1, 1), 0) == 1
-    assert pairing(a1, (3,), 0) == 3
+def test_add_root_moves_by_a_cartan_column(a2):
     # subtracting a simple root drops coordinates by the root's column
     mu = (2, 0)
     down = a2.add_root(mu, 0, -1)
@@ -279,7 +278,8 @@ def test_positive_roots_count_and_fresh_list():
         rs = root_system(lbl)
         roots = rs.positive_roots()
         assert len(roots) == len(set(roots)) == n
-        assert set(roots[:rs.rank]) == {rs.simple_root(i) for i in range(rs.rank)}
+        zero = (0,) * rs.rank
+        assert set(roots[:rs.rank]) == {rs.add_root(zero, i) for i in range(rs.rank)}
         roots.clear()
         assert len(rs.positive_roots()) == n
 
@@ -299,14 +299,18 @@ def _fraction_dominance(rs, mu, lam):
     return all(c.denominator == 1 and c >= 0 for c in coords)
 
 
+def _sympy_lattice(cartan):
+    """(den, den * C^-1) from sympy's inverse of the Cartan matrix, den the
+    lcm of its denominators."""
+    inv = sympy.Matrix(cartan).inv()
+    den = math.lcm(*(int(x.q) for x in inv))
+    return den, tuple(tuple(int(x * den) for x in inv.row(i)) for i in range(inv.rows))
+
+
 def test_lattice_denominator_is_least(a2, b2, g2):
     assert a2.lattice[0] == 3 and b2.lattice[0] == 2 and g2.lattice[0] == 1
     for rs in _LATTICE_SYSTEMS.values():
-        den, inv = rs.lattice
-        assert all(c * den == x for row, irow in zip(rs._inv_cartan, inv)
-                   for c, x in zip(row, irow))
-        assert not any(all((c * d).denominator == 1 for row in rs._inv_cartan for c in row)
-                       for d in range(1, den))
+        assert rs.lattice == _sympy_lattice(rs.cartan)
 
 
 @settings(max_examples=150, deadline=None)
@@ -408,7 +412,7 @@ def _minors_positive(cartan, d):
 @given(st.data())
 def test_finite_type_test_matches_sylvester(data):
     # The pivot signs of the one elimination against the leading minors of
-    # the symmetrized matrix; accepted matrices get C C^-1 = I.
+    # the symmetrized matrix; accepted matrices get sympy's C^-1.
     n = data.draw(st.integers(1, 5))
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     pairs = [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4)]
@@ -427,9 +431,7 @@ def test_finite_type_test_matches_sylvester(data):
         assert not _minors_positive(c, d)
         return
     assert _minors_positive(c, d)
-    inv = rs._inv_cartan
-    assert all(sum(c[i][k] * inv[k][j] for k in range(n)) == (i == j)
-               for i in range(n) for j in range(n))
+    assert rs.lattice == _sympy_lattice(c)
 
 
 @pytest.mark.parametrize("label,index,dim", [

@@ -508,6 +508,57 @@ def test_check_quotes_a_prefix_of_a_long_ring_field(runner, tmp_path):
     assert isinstance(res.exception, SystemExit)
 
 
+_LONG = "x" * 100_000
+
+
+def _check_with(*path_and_value):
+    """The arguments of ``qtilt check`` on the cyc:3 golden with the field
+    at path set to value."""
+    *path, value = path_and_value
+
+    def args(tmp_path):
+        d = _golden_dict(_CYC3_OBJ)
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        return ["check", str(bad)]
+    return args
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(_check_with("format", _LONG), id="format"),
+    pytest.param(_check_with("version", _LONG), id="version"),
+    pytest.param(_check_with(_LONG, 1), id="unknown_field"),
+    pytest.param(_check_with("weights", _LONG), id="weights"),
+    pytest.param(_check_with("weights", 0, "rank", _LONG), id="rank"),
+    pytest.param(_check_with("weights", 0, "coords", [0] * 50_000), id="weight_coords"),
+    pytest.param(_check_with("operators", 0, "mu", [0] * 50_000), id="operator_mu"),
+    pytest.param(_check_with("operators", 0, "alpha", 10 ** 4000), id="operator_alpha"),
+    # Record 6 is the golden's first F record, whose entry block has the
+    # shape an F record needs, so its kind is read next.
+    pytest.param(_check_with("operators", 6, "kind", _LONG), id="operator_kind"),
+    pytest.param(lambda tmp_path: ["weyl-char", "--root", "A1",
+                                   "--weight", ",".join(["0"] * 50_000)],
+                 id="weyl_char_weight_length"),
+    pytest.param(lambda tmp_path: ["build", "--kind", "smax", "--root", "A1", "--ring", "cyc:3",
+                                   "--weight", ",".join(["-1"] * 50_000),
+                                   "--out", str(tmp_path / "o.json")],
+                 id="build_weight_length"),
+    pytest.param(lambda tmp_path: ["weyl-char", "--root", "A1", "--weight", "1," + _LONG],
+                 id="weight_not_integers"),
+])
+def test_refusals_quote_a_bounded_prefix_of_the_input(runner, tmp_path, args):
+    # Each of these echoed the whole value read from input, 100 KB or more.
+    res = runner.invoke(main, args(tmp_path))
+    assert res.exit_code == 2, res.output[:400]
+    assert isinstance(res.exception, SystemExit)
+    assert 0 < len(res.stderr.encode()) < 300, res.stderr[:400]
+    assert not (tmp_path / "o.json").exists()
+
+
 _DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 

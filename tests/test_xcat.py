@@ -359,6 +359,24 @@ def test_verify_frontier_takes_no_snf(a2, cyc3, monkeypatch):
     assert hats and snfs == []
 
 
+def test_verify_frontier_leaves_the_word_memo_as_it_was(a1, a2, cyc3):
+    # The check used to leave the words of its hat matrices on the object,
+    # 142 words on 12 sources here, which nothing reads.
+    M = build_smax(a2, cyc3, (2, 1))
+    verify_frontier(M)
+    assert "_words" not in vars(M)
+    # A mid-build object keeps its memo, unchanged, also when the check
+    # finds a nonzero space below its region.
+    M = seed(a1, cyc3, (8,))
+    for mu in weights_below(a1, (8,))[1:5]:
+        M = maximal_extend(M, mu)
+    words = M._words
+    before = {src: dict(memo) for src, memo in words.items()}
+    with pytest.raises(XCatError, match="one level below the region"):
+        verify_frontier(M)
+    assert vars(M)["_words"] is words and words == before
+
+
 def test_build_determinism(a2, cyc3):
     a = build_smax(a2, cyc3, (1, 1))
     b = build_smax(a2, cyc3, (1, 1))
@@ -425,7 +443,7 @@ def scan_multiple(diff, alpha):
 
 def scan_ladder(M, mu, a):
     """ladder(mu, a) by a scan of every supported weight."""
-    alpha = M.rs.simple_root(a)
+    alpha = M.rs.add_root((0,) * M.rs.rank, a)
     out = []
     for nu in M.spaces:
         n = scan_multiple(tuple(x - y for x, y in zip(nu, mu)), alpha)
