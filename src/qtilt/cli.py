@@ -1,23 +1,20 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library's argparse.
 
 Exit codes: 0 on success; 1 when a check fails or ``hom-extend`` is
-obstructed; 2 on a usage error, on an input or output file that cannot be
-read, decoded or written, and on an input the library refuses.  Weights on
-the command line are comma-separated fundamental-weight coordinates.  The
-QTILT_OUT_DIR environment variable supplies a default directory for relative
-output paths.
+obstructed; 2, with one ``error:`` line on stderr, on a usage error, on an
+input or output file that cannot be read, decoded or written, and on an
+input the library refuses.  An option must be spelt in full, and one taking
+a value reads the next word even when it starts with a dash (``--weight
+-1,2``).  Weights on the command line are comma-separated fundamental-weight
+coordinates.  QTILT_OUT_DIR supplies a directory for relative output paths.
 """
 
-from __future__ import annotations
-
+import argparse
 import csv
-import functools
 import io
 import json
 import os
 import sys
-
-import click
 
 from . import forms, serialize, xcat
 from .linalg import Mat
@@ -25,30 +22,64 @@ from .ring import RingError, _quoted, parse_ring
 from .rootsys import RootSystemError, Weight, root_system, weyl_character
 from .xcat import Obstructed, XCatError
 
-_INPUT_ERRORS = (RingError, RootSystemError, XCatError, forms.FormError,
-                 serialize.SerializeError, OSError, UnicodeDecodeError,
+_INPUT_ERRORS = (argparse.ArgumentError, RingError, RootSystemError, XCatError,
+                 forms.FormError, serialize.SerializeError, OSError, UnicodeDecodeError,
                  json.JSONDecodeError)
 
 
-def _exits(command):
-    """Exit with command's return code, or with 2 and a message on stderr
-    when the library or the file system refuses its input."""
-    @functools.wraps(command)
-    def wrapper(*args, **kwargs):
-        try:
-            code = command(*args, **kwargs)
-        except _INPUT_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
-            code = 2
-        sys.exit(code)
-    return wrapper
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads the word after an option taking a value as that
+    value, even one starting with a dash, and raises where argparse exits."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.words = sys.argv[1:] if args is None else list(args)
+        words, joined = iter(self.words), []
+        for word in words:
+            action = self._option_string_actions.get(word)
+            value = next(words, None) if action is not None and action.nargs is None else None
+            joined.append(word if value is None else f"{word}={value}")
+        return super().parse_known_args(joined, namespace)
+
+    def error(self, message):
+        # Cut each long word or value after '=' it echoes; longest first.
+        values = {w for word in self.words for w in (word, word.partition("=")[2]) if len(w) > 40}
+        for value in sorted(values, key=len, reverse=True):
+            message = message.replace(repr(value), _quoted(value)).replace(value, _quoted(value))
+        raise argparse.ArgumentError(None, message)
+
+
+PARSER = _Parser(prog="qtilt", allow_abbrev=False, description=(
+    "Exact Weyl and tilting module constructions over local ground rings."))
+_commands = PARSER.add_subparsers(metavar="COMMAND", required=True)
+
+
+def _command(*arguments: tuple[str, dict]):
+    """Add the decorated function as the command named after it, its
+    docstring as help, with arguments: each add_argument's (name, keywords)."""
+    def add(run):
+        parser = _commands.add_parser(run.__name__.replace("_", "-"), allow_abbrev=False,
+                                      help=run.__doc__, description=run.__doc__)
+        parser.set_defaults(run=run)
+        for name, keywords in arguments:
+            parser.add_argument(name, **keywords)
+        return run
+    return add
 
 
 def _parse_weight(s: str) -> Weight:
     try:
         return tuple(int(c.strip()) for c in s.split(","))
     except ValueError:
-        raise click.UsageError(f"bad weight {_quoted(s)}: expected comma-separated integers")
+        raise argparse.ArgumentTypeError(
+            f"bad weight {_quoted(s)}: expected comma-separated integers") from None
+
+
+_FILE = ("object_file", {})
+_ROOT = ("--root", dict(required=True, help="root system label, e.g. A1, B2, G2"))
+_WEIGHT = ("--weight", dict(required=True, type=_parse_weight,
+                            help="comma-separated fundamental-weight coordinates"))
+_FORMAT = ("--format", dict(dest="fmt", choices=["json", "csv"], default="json",
+                            help="output format (default: %(default)s)"))
 
 
 def _write(*outputs: tuple[str, str], inputs: tuple[str, ...] = ()) -> None:
@@ -74,7 +105,7 @@ def _write(*outputs: tuple[str, str], inputs: tuple[str, ...] = ()) -> None:
     for path, text in outputs:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        click.echo(f"wrote {path}")
+        print(f"wrote {path}")
 
 
 def _load_object(path: str) -> xcat.XObject:
@@ -83,7 +114,7 @@ def _load_object(path: str) -> xcat.XObject:
 
 
 def _report(rep: xcat.Report) -> int:
-    click.echo(serialize.dumps(serialize.report_to_dict(rep)), nl=False)
+    sys.stdout.write(serialize.dumps(serialize.report_to_dict(rep)))
     return 0 if rep.ok else 1
 
 
@@ -95,52 +126,31 @@ def _counts(counts: dict[Weight, int], fmt: str) -> int:
         text = buf.getvalue()
     else:
         text = serialize.dumps(dict(rows))
-    click.echo(text, nl=False)
+    sys.stdout.write(text)
     return 0
 
 
-@click.group()
-def main():
-    """Exact Weyl and tilting module constructions over local ground rings."""
-
-
-_root_opt = click.option("--root", required=True, help="root system label, e.g. A1, B2, G2")
-_ring_opt = click.option("--ring", required=True,
-                         help="ground ring: generic | rational | cyc:<l> | int:<p>")
-_weight_opt = click.option("--weight", required=True,
-                           help="comma-separated fundamental-weight coordinates")
-_fmt_opt = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                        default="json", show_default=True)
-
-
-@main.command()
-@click.option("--kind", type=click.Choice(["smin", "smax", "smax-form"]), required=True)
-@_root_opt
-@_ring_opt
-@_weight_opt
-@click.option("--out", required=True, help="output object file")
-@click.option("--form-out", default=None, help="output form file (smax-form)")
-@click.option("--prune/--no-prune", default=True, show_default=True,
-              help="restrict enumeration to the dominant-conjugate hull")
-@click.option("--height-bound", type=int, default=None,
-              help="explicit height bound (required with --no-prune)")
-@click.option("--verify-frontier", is_flag=True,
-              help="recompute one level beyond the hull and require zero ranks")
-@_exits
+@_command(("--kind", dict(choices=["smin", "smax", "smax-form"], required=True)), _ROOT,
+          ("--ring", dict(required=True,
+                          help="ground ring: generic | rational | cyc:<l> | int:<p>")),
+          _WEIGHT, ("--out", dict(required=True, help="output object file")),
+          ("--form-out", dict(help="output form file (smax-form)")),
+          ("--prune", dict(action=argparse.BooleanOptionalAction, default=True,
+                           help="restrict enumeration to the dominant-conjugate hull")),
+          ("--height-bound", dict(type=int,
+                                  help="explicit height bound (required with --no-prune)")),
+          ("--verify-frontier", dict(action="store_true", help=(
+              "recompute one level beyond the hull and require zero ranks"))))
 def build(kind, root, ring, weight, out, form_out, prune, height_bound, verify_frontier):
     """Construct a minimal (Weyl) or maximal (tilting) object."""
-    lam = _parse_weight(weight)  # a usage error, reported before any library error
     if form_out is not None and kind != "smax-form":
-        raise click.UsageError(f"--form-out needs --kind smax-form, not {kind}")
-    args = (root_system(root), parse_ring(ring), lam)
+        raise argparse.ArgumentError(None, f"--form-out needs --kind smax-form, not {kind}")
+    args = (root_system(root), parse_ring(ring), weight)
     kw = dict(prune=prune, height_bound=height_bound)
-    b = None
-    if kind == "smin":
-        M = xcat.build_smin(*args, **kw)
-    elif kind == "smax":
-        M = xcat.build_smax(*args, **kw)
-    else:
+    if kind == "smax-form":
         M, b = forms.build_smax_with_form(*args, **kw)
+    else:
+        M, b = (xcat.build_smin if kind == "smin" else xcat.build_smax)(*args, **kw), None
     if verify_frontier:
         xcat.verify_frontier(M)
     outputs = [(out, serialize.dump_xobject(M))]
@@ -150,55 +160,37 @@ def build(kind, root, ring, weight, out, form_out, prune, height_bound, verify_f
     return 0
 
 
-@main.command()
-@click.argument("object_file")
-@_exits
+@_command(_FILE)
 def check(object_file):
     """Check the structural axioms of an object file."""
     return _report(xcat.check_axioms(_load_object(object_file)))
 
 
-@main.command()
-@click.argument("object_file")
-@_exits
+@_command(_FILE)
 def verify(object_file):
     """Verify the full operator-relation suite of an object file."""
     return _report(xcat.verify_relations(_load_object(object_file)))
 
 
-@main.command()
-@click.argument("object_file")
-@_fmt_opt
-@_exits
+@_command(_FILE, _FORMAT)
 def character(object_file, fmt):
     """Print the character (weight -> rank) of an object file."""
     return _counts(xcat.character(_load_object(object_file)), fmt)
 
 
-@main.command("weyl-mults")
-@click.argument("object_file")
-@_fmt_opt
-@_exits
+@_command(_FILE, _FORMAT)
 def weyl_mults(object_file, fmt):
     """Print the Weyl-filtration multiplicities of an object file."""
     return _counts(xcat.weyl_multiplicities(_load_object(object_file)), fmt)
 
 
-@main.command("weyl-char")
-@_root_opt
-@_weight_opt
-@_fmt_opt
-@_exits
+@_command(_ROOT, _WEIGHT, _FORMAT)
 def weyl_char(root, weight, fmt):
     """Print the independent Weyl-character oracle for a dominant weight."""
-    lam = _parse_weight(weight)  # a usage error, reported before any library error
-    return _counts(weyl_character(root_system(root), lam), fmt)
+    return _counts(weyl_character(root_system(root), weight), fmt)
 
 
-@main.command("form-check")
-@click.argument("object_file")
-@click.argument("form_file")
-@_exits
+@_command(_FILE, ("form_file", {}))
 def form_check(object_file, form_file):
     """Check a contravariant form file against an object file."""
     M = _load_object(object_file)
@@ -207,24 +199,20 @@ def form_check(object_file, form_file):
     return _report(forms.check_form(M, b))
 
 
-@main.command("hom-extend")
-@click.argument("object_a")
-@click.argument("object_b")
-@click.option("--out", default=None, help="write the extended map to a file")
-@_exits
+@_command(("object_a", {}), ("object_b", {}),
+          ("--out", dict(help="write the extended map to a file")))
 def hom_extend(object_a, object_b, out):
     """Extend the identity at the shared top weight to a full morphism."""
-    M = _load_object(object_a)
-    N = _load_object(object_b)
+    M, N = _load_object(object_a), _load_object(object_b)
     if M.top is None or M.top != N.top or M.rank(M.top) != 1 or N.rank(N.top) != 1:
         raise XCatError("hom-extend needs two objects with the same rank-1 top weight")
     res = xcat.extend_hom_down(M, N, Mat.identity(M.ring, 1))
     if isinstance(res, Obstructed):
-        click.echo(serialize.dumps({
+        sys.stdout.write(serialize.dumps({
             "status": "obstructed",
             "weight": list(res.weight),
             "witness": [str(res.witness[i, 0]) for i in range(res.witness.rows)],
-        }), nl=False)
+        }))
         return 1
     text = serialize.dumps({
         "status": "extended",
@@ -236,8 +224,20 @@ def hom_extend(object_a, object_b, out):
     if out:
         _write((out, text), inputs=(object_a, object_b))
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     return 0
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the command line argv (by default the process's) and exit with its
+    code, or with 2 and one error line when it or its input is refused."""
+    try:
+        args = vars(PARSER.parse_args(argv))
+        code = args.pop("run")(**args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

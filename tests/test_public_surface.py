@@ -1,12 +1,16 @@
 """The exported names of the package resolve: a name deleted from a module
 but left in ``xcat.__all__`` or in the package imports fails here by name.
-Helpers that no program called stay deleted, and the README's library
-example runs."""
+Helpers that no program called stay deleted, the README's library example
+runs, and the package and its CLI import nothing outside the standard
+library."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qtilt
@@ -94,3 +98,24 @@ def test_readme_library_example_runs():
     section = readme.split("\n## Library surface\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+_IMPORTS_ADDED = """
+import sys
+before = {name.partition(".")[0] for name in sys.modules}
+import qtilt, qtilt.cli
+print(" ".join(sorted({name.partition(".")[0] for name in sys.modules} - before)))
+"""
+
+
+def test_package_and_cli_need_only_the_standard_library():
+    # Names imported before this code runs (a .pth file may import a
+    # third-party module at startup) are not counted.
+    src = str(Path(qtilt.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", _IMPORTS_ADDED], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "qtilt" in out
+    assert [name for name in out
+            if name != "qtilt" and name not in sys.stdlib_module_names] == []

@@ -3,12 +3,13 @@ import csv
 import io
 import json
 import os
+import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import CliRunner
 from qtilt.cli import main
 from qtilt.forms import FormError, build_smax_with_form, check_form
 from qtilt.ring import RingError, parse_ring
@@ -528,6 +529,28 @@ def _check_with(*path_and_value):
     return args
 
 
+def _build_with(*extra):
+    """The arguments of a build of A1 (2) over cyc:3 into o.json, then extra."""
+    return lambda tmp_path: ["build", "--kind", "smax", "--root", "A1", "--ring", "cyc:3",
+                             "--weight", "2", "--out", str(tmp_path / "o.json"), *extra]
+
+
+_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "golden", _CYC3_OBJ)
+
+# Usage errors whose value the option parser itself refuses: the arguments
+# and the start of what the error line says.
+_USAGE_ERRORS = {
+    "build_kind": (_build_with("--kind", _LONG), "argument --kind: invalid choice: 'xxx"),
+    "build_height_bound": (_build_with("--height-bound", _LONG),
+                           "argument --height-bound: invalid int value: 'xxx"),
+    "character_format": (lambda tmp_path: ["character", _GOLDEN_PATH, "--format", _LONG],
+                         "argument --format: invalid choice: 'xxx"),
+    "unknown_command": (lambda tmp_path: [_LONG], "argument COMMAND: invalid choice: 'xxx"),
+    "unknown_option": (lambda tmp_path: ["check", _GOLDEN_PATH, "--" + _LONG],
+                       "unrecognized arguments: '--xxx"),
+}
+
+
 @pytest.mark.parametrize("args", [
     pytest.param(_check_with("format", _LONG), id="format"),
     pytest.param(_check_with("version", _LONG), id="version"),
@@ -549,6 +572,7 @@ def _check_with(*path_and_value):
                  id="build_weight_length"),
     pytest.param(lambda tmp_path: ["weyl-char", "--root", "A1", "--weight", "1," + _LONG],
                  id="weight_not_integers"),
+    *[pytest.param(args, id=name) for name, (args, _) in _USAGE_ERRORS.items()],
 ])
 def test_refusals_quote_a_bounded_prefix_of_the_input(runner, tmp_path, args):
     # Each of these echoed the whole value read from input, 100 KB or more.
@@ -1028,3 +1052,70 @@ def test_an_object_file_label_is_made_canonical(a1, cyc3):
     assert dump_xobject(M) == dump_xobject(load_xobject(json.dumps(_golden_dict(_CYC3_OBJ))))
     assert character(direct_sum(M, build_smin(a1, cyc3, (1,)))) == {
         (3,): 1, (1,): 3, (-1,): 3, (-3,): 1}
+
+
+@pytest.mark.parametrize("args,says", [pytest.param(*case, id=name)
+                                       for name, case in _USAGE_ERRORS.items()])
+def test_usage_errors_are_one_line_naming_the_option(runner, tmp_path, args, says):
+    res = runner.invoke(main, args(tmp_path))
+    assert res.exit_code == 2
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("error: " + says) and " characters)" in line, line[:400]
+
+
+@pytest.mark.parametrize("prefix", [["--verify"], ["--form", "f.json"]])
+def test_option_prefixes_are_refused(runner, tmp_path, monkeypatch, prefix):
+    # An option must be spelt in full: neither --verify for --verify-frontier
+    # nor --form for --form-out runs a build.
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, ["build", "--kind", "smax-form", "--root", "A1", "--ring", "cyc:3",
+                               "--weight", "2", "--out", "o.json", *prefix])
+    assert res.exit_code == 2, res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_weight_starting_with_a_dash_reaches_the_library(runner, tmp_path):
+    res = runner.invoke(main, ["build", "--kind", "smax", "--root", "A2", "--ring", "cyc:3",
+                               "--weight", "-1,2", "--out", str(tmp_path / "x.json")])
+    assert res.exit_code == 2
+    assert res.stderr == "error: (-1, 2) is not dominant; full builds are refused\n"
+
+
+_OPTIONS = {
+    "build": ["--kind", "--root", "--ring", "--weight", "--out", "--form-out", "--prune",
+              "--no-prune", "--height-bound", "--verify-frontier"],
+    "check": [], "verify": [], "form-check": [],
+    "character": ["--format"], "weyl-mults": ["--format"],
+    "weyl-char": ["--root", "--weight", "--format"],
+    "hom-extend": ["--out"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+@pytest.mark.parametrize("command", [*_OPTIONS, None])
+def test_help_names_every_option(runner, command, flag):
+    # Without a command, help names every command.
+    res = runner.invoke(main, [command, flag] if command else [flag])
+    assert res.exit_code == 0 and res.stderr == ""
+    names = _OPTIONS.get(command, list(_OPTIONS))
+    assert [name for name in names if name not in res.stdout] == []
+
+
+def _run_module(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "qtilt.cli", *args], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_module_entry_point_writes_what_the_runner_gets(runner):
+    args = ["weyl-char", "--root", "A1", "--weight", "2", "--format", "csv"]
+    proc = _run_module(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == runner.invoke(main, args).stdout_bytes
+
+
+def test_module_entry_point_without_a_command_exits_2():
+    proc = _run_module()
+    assert proc.returncode == 2

@@ -6,10 +6,10 @@ import json
 import os
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cli_runner import CliRunner
 from qtilt import serialize
 from qtilt.cli import main
 from qtilt.forms import build_smax_with_form, check_form
