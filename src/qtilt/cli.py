@@ -86,22 +86,25 @@ def _write(*outputs: tuple[str, str], inputs: tuple[str, ...] = ()) -> None:
     """Write each (path, text), a relative path under QTILT_OUT_DIR.  All
     paths are checked first, so a refused path leaves no file behind; two
     paths naming one file are refused, and so is a path naming one of the
-    command's input files."""
+    command's input files.  A refusal quotes each path by ``_quoted``."""
     base = os.environ.get("QTILT_OUT_DIR", "")
     outputs = [(os.path.join(base, path), text) for path, text in outputs]
     read = {os.path.realpath(path): path for path in inputs}
     seen: dict[str, str] = {}
     for path, _ in outputs:
         real = os.path.realpath(path)
+        shown = _quoted(path)
         if real in seen:
-            raise FileExistsError(f"cannot write {seen[real]} and {path}: they are one file")
+            raise FileExistsError(
+                f"cannot write {_quoted(seen[real])} and {shown}: they are one file")
         if real in read:
-            raise FileExistsError(f"cannot write {path}: it is the input file {read[real]}")
+            raise FileExistsError(
+                f"cannot write {shown}: it is the input file {_quoted(read[real])}")
         seen[real] = path
         if os.path.isdir(path):
-            raise IsADirectoryError(f"cannot write {path}: it is a directory")
+            raise IsADirectoryError(f"cannot write {shown}: it is a directory")
         if not os.path.isdir(os.path.dirname(path) or os.curdir):
-            raise FileNotFoundError(f"cannot write {path}: no such directory")
+            raise FileNotFoundError(f"cannot write {shown}: no such directory")
     for path, text in outputs:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -228,6 +231,14 @@ def hom_extend(object_a, object_b, out):
     return 0
 
 
+def _message(exc: Exception) -> str:
+    """The text of a refusal: an error the system raised on a file as its
+    reason and the path cut by ``_quoted``, any other error as it is."""
+    if isinstance(exc, OSError) and exc.strerror:
+        return exc.strerror if exc.filename is None else f"{exc.strerror}: {_quoted(exc.filename)}"
+    return str(exc)
+
+
 def main(argv: list[str] | None = None) -> None:
     """Run the command line argv (by default the process's) and exit with its
     code, or with 2 and one error line when it or its input is refused."""
@@ -235,7 +246,7 @@ def main(argv: list[str] | None = None) -> None:
         args = vars(PARSER.parse_args(argv))
         code = args.pop("run")(**args)
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         code = 2
     sys.exit(code)
 

@@ -7,7 +7,8 @@ shared between identities.  The kernel (``xcat._commutation_rhs``) must give
 the same matrix for every X2 instance and every hat block, and a corrupted
 object must fail the checks exactly as the reference says.
 ``_reference_dp_serre`` does the same for the divided-power and Serre
-relations of ``verify_relations``.  The X2 loop must evaluate exactly the
+relations of ``verify_relations``, and ``_reference_x3`` for X3 of
+``check_axioms``, with an explicit rank at every weight.  The X2 loop must evaluate exactly the
 identities ``_reference_instances`` lists, and both references take their
 support bound from a scan of every supported weight (``test_xcat``), not
 from the object's string index.
@@ -22,7 +23,8 @@ from pathlib import Path
 import pytest
 
 from qtilt import xcat
-from qtilt.linalg import LinAlgError, Mat, hstack, vstack
+from qtilt.linalg import LinAlgError, Mat, hstack, smith_normal_form, vstack
+from qtilt.linalg import rank as linalg_rank
 from qtilt.ring import generic_field, parse_ring
 from qtilt.rootsys import dominance_leq, root_system, weights_below
 from qtilt.xcat import (
@@ -377,3 +379,118 @@ def test_hat_raises_below_a_wrong_shaped_operator(root, ring, lam, key, grow, wa
         except LinAlgError as exc:
             got[mu] = str(exc)
     assert got == want
+
+
+# Builds whose steps have same-root blocks with a middle weight off the
+# support (A1 ladders up to 14 and 8) and cross-root blocks (A2).
+WORD_BUILDS = [("A1", "int:5", (14,)), ("A1", "cyc:3", (8,)), ("A2", "cyc:3", (2, 1))]
+
+
+@pytest.mark.parametrize("root, ring, lam", WORD_BUILDS, ids=map(_ids, WORD_BUILDS))
+def test_hat_evaluates_no_word_through_an_unsupported_weight(root, ring, lam, monkeypatch):
+    # The r-th term of a Lusztig sum is F_{a,n-r} E_{a,m-r}, through the
+    # weight mu + (m + n - r)*alpha_a; off the support it is a zero word,
+    # which the hat assembly skips before evaluating it.
+    middles, word = [], xcat._word
+
+    def recording(M, src, w):
+        if len(w) == 2 and (w[0][0], w[1][0]) == ("E", "F"):
+            middles.append((w[0][3], w[0][3] in M.spaces))
+        return word(M, src, w)
+
+    monkeypatch.setattr(xcat, "_word", recording)
+    build_smax(root_system(root), parse_ring(ring), lam)
+    assert middles
+    assert [mid for mid, supported in middles if not supported] == []
+
+
+def _reference_x3(M):
+    """(check, weight, status, witness) of the X3 entries of check_axioms:
+    E_mu and F_mu stacked anew from eop and fop at every weight, F_mu
+    decomposed with every transform, and E_mu ranked against the saturation
+    basis Uinv[:, :rank(F_mu)] by an explicit product at every weight."""
+    out = []
+    for mu in sorted(M.region):
+        index = _delta_index(M, mu)
+        if not index or M.rank(mu) == 0:
+            continue
+        e = vstack([M.eop(mu, b.alpha, b.n) for b in index])
+        f = hstack([M.fop(mu, b.alpha, b.n) for b in index])
+        f_snf = smith_normal_form(f)
+        rank_f = f_snf.rank
+        rank_ef = linalg_rank(e @ f_snf.Uinv.take_cols(range(rank_f)))
+        rank_e = linalg_rank(e)
+        exps = tuple(x for x in f_snf.exponents if x > 0)
+        if rank_ef != rank_f:
+            out.append(("X3a", mu, "fail", f"rank(EF)={rank_ef} < rank(F)={rank_f}"))
+        if rank_ef != rank_e:
+            out.append(("X3b", mu, "fail", f"rank(EF)={rank_ef} != rank(E)={rank_e}"))
+        if exps:
+            out.append(("X3c", mu, "fail", f"saturation exponents {exps}"))
+    failed = {entry[0] for entry in out}
+    return out + [(check, None, "pass", None) for check in ("X3a", "X3b", "X3c")
+                  if check not in failed]
+
+
+def _x3_entries(M):
+    return [(e.check, e.weight, e.status, e.witness) for e in check_axioms(M).entries
+            if e.check.startswith("X3")]
+
+
+def _x3_mutants(M):
+    """M with one stored block of E_mu zeroed, or scaled by the uniformizer,
+    at each weight mu where F_mu has full rank: one mutant per block and
+    change."""
+    pi = M.ring.uniformizer()
+    for mu in sorted(M.region):
+        index = _delta_index(M, mu)
+        if not index or M.rank(mu) == 0:
+            continue
+        f = hstack([M.fop(mu, b.alpha, b.n) for b in index])
+        if linalg_rank(f) != f.rows:
+            continue
+        for b in index:
+            key = (mu, b.alpha, b.n)
+            op = M.eops.get(key)
+            if op is not None:
+                for new in (Mat.zero(M.ring, op.rows, op.cols), op.scale(pi)):
+                    yield replace(M, eops={**M.eops, key: new})
+
+
+# X2 is set aside (an empty cache of failures) in the X3 tests below, so
+# that check_axioms reaches X3 on objects whose identities fail or raise.
+X3_OBJECTS = [("A1", "cyc:3", (8,)), ("A1", "int:5", (14,)), ("A2", "cyc:3", (2, 1)),
+              ("B2", "cyc:3", (1, 1))]
+
+
+@pytest.mark.parametrize("root, ring, lam", X3_OBJECTS, ids=map(_ids, X3_OBJECTS))
+def test_x3_matches_an_explicit_rank_on_mutants(root, ring, lam, monkeypatch):
+    # Where F_mu has full rank, X3 reads rank(E_mu) for the rank of E_mu
+    # against the saturation basis of im F_mu; a mutant there must get the
+    # entries the explicit product gives.
+    monkeypatch.setattr(xcat.XObject, "_x2", ())
+    M = _build(root, ring, lam)
+    mutants = list(_x3_mutants(M))
+    assert mutants
+    failed = 0
+    for bad in mutants:
+        got = _x3_entries(bad)
+        assert got == _reference_x3(bad)
+        failed += any(check in ("X3a", "X3b") and status == "fail"
+                      for check, _, status, _ in got)
+    assert failed > 0
+
+
+@pytest.mark.parametrize("ring, lam", [("cyc:3", 4), ("cyc:3", 6), ("int:3", 8)])
+def test_x3_matches_an_explicit_rank_on_misshapen_objects(ring, lam, monkeypatch):
+    # The corrupted objects of x2_corruption_outcomes.json: an F_mu with an
+    # extra row can have full rank and still not match E_mu's columns, so
+    # X3 must take the product, and raise as the reference does.
+    monkeypatch.setattr(xcat.XObject, "_x2", ())
+    M = _build("A1", ring, (lam,))
+    for side in ("eops", "fops"):
+        for key in sorted(getattr(M, side)):
+            for extra in ("row", "col"):
+                bad = _corrupt(M, side, key, extra)
+                got = _or_error(lambda: _x3_entries(bad))
+                assert got == _or_error(lambda: _reference_x3(bad)), (side, key, extra)

@@ -496,6 +496,22 @@ def test_cli_quotes_a_prefix_of_a_long_root_or_ring(runner, tmp_path):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("command", ["check", "build"])
+def test_a_long_path_is_quoted_by_a_prefix(runner, tmp_path, command):
+    # The system's error on a 100 000-character file name used to be
+    # printed whole, path and all: about 100 kB on stderr.
+    path = str(tmp_path / ("x" * 100_000))
+    args = {"check": ["check", path],
+            "build": ["build", "--kind", "smin", "--root", "A1", "--ring", "cyc:3",
+                      "--weight", "2", "--out", path]}[command]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    line = _error_line(res)
+    assert line.startswith("error: ") and line.endswith(f"... ({len(path)} characters)"), line
+    assert len(res.stderr.encode()) < 200
+    assert "wrote" not in res.output
+
+
 def test_check_quotes_a_prefix_of_a_long_ring_field(runner, tmp_path):
     obj = _golden_dict(_CYC3_OBJ)
     obj["ring"] = "cyc:" + "x" * 19_996

@@ -1236,11 +1236,14 @@ def test_local_cache_is_per_object(a1, cyc3):
 
 
 def test_checks_and_certificates_snf_count(a1, monkeypatch):
-    # On a loaded object, check_axioms takes three SNFs per weight below the
-    # top (F_mu, E_mu against the saturation basis of im F_mu, and E_mu)
-    # and verify_relations none.  maximality_certificate then reads the SNF
-    # of every E_mu and weyl_multiplicities that of every F_mu, so only the
-    # top's F_mu, which X3 skips, is decomposed again (71 before the
+    # On a loaded object, check_axioms takes two SNFs per weight below the
+    # top (F_mu and E_mu) and a third, of E_mu against the saturation basis
+    # of im F_mu, only at the one weight where F_mu has not full rank; at
+    # the other 13, that basis is all of the unimodular Uinv and X3 reads
+    # rank(E_mu) (ranking the product there too took 42, 42, 42, 43).
+    # verify_relations takes none.  maximality_certificate then reads the
+    # SNF of every E_mu and weyl_multiplicities that of every F_mu, so only
+    # the top's F_mu, which X3 skips, is decomposed again (71 before the
     # per-object local cache: 42, 42, 56, 71).
     import qtilt.linalg as linalg_mod
 
@@ -1254,7 +1257,7 @@ def test_checks_and_certificates_snf_count(a1, monkeypatch):
         counted.append(len(calls))
     assert weyl_multiplicities(M) == {(14,): 1, (2,): 1}
     counted.append(len(calls))
-    assert counted == [42, 42, 42, 43]
+    assert counted == [29, 29, 29, 30]
 
 
 def test_checks_evaluate_only_the_generator_relations(a1, monkeypatch):
